@@ -1,7 +1,7 @@
 #include "opt/bank.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <utility>
 
 #include "obs/prof.h"
 #include "obs/stats.h"
@@ -35,17 +35,17 @@ SharedBank::SharedBank(std::vector<const Nwa*> autos)
   NW_CHECK_MSG(num_symbols_ <= (1u << 16),
                "symbol space exceeds the product return-key packing");
   words_ = (autos_.size() + 63) / 64;
-  std::vector<StateId> init(autos_.size());
-  for (size_t i = 0; i < autos_.size(); ++i) init[i] = autos_[i]->initial();
-  initial_ = Intern(init);
+  tuple_buf_.resize(2 * autos_.size());
+  for (size_t i = 0; i < autos_.size(); ++i) {
+    tuple_buf_[i] = autos_[i]->initial();
+  }
+  initial_ = Intern(tuple_buf_.data(), autos_.size());
 }
 
-StateId SharedBank::Intern(const std::vector<StateId>& tuple) {
-  std::vector<StateId>& bucket =
-      buckets_[TupleHash(tuple.data(), tuple.size())];
-  const size_t k = autos_.size();
+StateId SharedBank::Intern(const StateId* tuple, size_t k) {
+  std::vector<StateId>& bucket = buckets_[TupleHash(tuple, k)];
   for (StateId id : bucket) {
-    if (std::equal(tuple.begin(), tuple.end(), tuples_.begin() + id * k)) {
+    if (std::equal(tuple, tuple + k, tuples_.begin() + id * k)) {
       return id;
     }
   }
@@ -56,7 +56,7 @@ StateId SharedBank::Intern(const std::vector<StateId>& tuple) {
   StateId id = static_cast<StateId>(live_.size());
   if (stats_ != nullptr) stats_->bank_states.Inc();
   bucket.push_back(id);
-  tuples_.insert(tuples_.end(), tuple.begin(), tuple.end());
+  tuples_.insert(tuples_.end(), tuple, tuple + k);
   accept_.resize(accept_.size() + words_, 0);
   uint32_t live = 0;
   for (size_t i = 0; i < k; ++i) {
@@ -80,7 +80,7 @@ StateId SharedBank::InternTuple(const std::vector<StateId>& tuple) {
     NW_CHECK_MSG(tuple[i] == kNoState || tuple[i] < autos_[i]->num_states(),
                  "tuple component %zu out of range", i);
   }
-  return Intern(tuple);
+  return Intern(tuple.data(), tuple.size());
 }
 
 bool SharedBank::ExploreAll(size_t max_states, CompileTimeline* timeline) {
@@ -94,60 +94,109 @@ bool SharedBank::ExploreAll(size_t max_states, CompileTimeline* timeline) {
   return complete;
 }
 
-bool SharedBank::ExploreFixpoint(size_t max_states) {
-  // Incremental fixed point: every (state, symbol) internal/call step and
-  // every (state, frame, symbol) return step — frames being the call-hier
-  // targets plus the pending-return sentinel — is taken exactly once.
-  // `done_lin` tracks states with closed internal/call rows; `done_ret[f]`
-  // tracks how many states have closed return rows against frame f, so a
-  // frame discovered late still gets the full state range and vice versa.
-  // Beware the size: the return closure is |Q|·|frames|·|Σ| steps, which
-  // is why exhaustive freezing suits small products only; past
-  // `max_states` we stop and let the serving layer's overflow banks cover
-  // the rest.
-  std::vector<StateId> frames{kNoState};
-  std::unordered_set<StateId> seen_frame;
-  std::vector<StateId> done_ret{0};  ///< parallel to `frames`
-  StateId done_lin = 0;
-  for (;;) {
-    bool progressed = false;
-    while (done_lin < num_states()) {
-      if (num_states() > max_states) return false;
-      StateId q = done_lin++;
-      progressed = true;
-      for (Symbol a = 0; a < num_symbols_; ++a) {
-        StepInternal(q, a);
-        StateId h;
-        StepCall(q, a, &h);
-        if (seen_frame.insert(h).second) {
-          frames.push_back(h);
-          done_ret.push_back(0);
-        }
-      }
-    }
-    for (size_t f = 0; f < frames.size(); ++f) {
-      while (done_ret[f] < num_states()) {
-        if (num_states() > max_states) return false;
-        StateId q = done_ret[f]++;
-        progressed = true;
-        for (Symbol a = 0; a < num_symbols_; ++a) {
-          StepReturn(q, frames[f], a);
-        }
-      }
-    }
-    if (!progressed) return true;
+namespace {
+
+/// Set of dense ids as a bitset that grows on insert.
+class IdSet {
+ public:
+  /// Adds `id`; false if it was already present.
+  bool Insert(uint32_t id) {
+    const size_t w = id / 64;
+    if (w >= words_.size()) words_.resize(w + 1, 0);
+    const uint64_t bit = uint64_t{1} << (id % 64);
+    if (words_[w] & bit) return false;
+    words_[w] |= bit;
+    return true;
   }
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
+/// One stack frame's bookkeeping in the reachable-context closure.
+struct FrameSlot {
+  StateId frame;  ///< product id of the pushed tuple; kNoState = top level
+  IdSet contexts;  ///< states q whose context (frame, q) was queued
+  std::vector<uint32_t> callers;  ///< slots whose contexts push `frame`
+  IdSet caller_set;
+  std::vector<StateId> exits;  ///< states a return popping `frame` reaches
+  IdSet exit_set;
+};
+
+}  // namespace
+
+bool SharedBank::ExploreFixpoint(size_t max_states) {
+  // Reachable-context closure, the product analogue of summary saturation
+  // (nwa/decision.cc): a context (h, q) is a state q some run reaches with
+  // frame h on top of its stack. Each context steps every symbol once as
+  // an internal (stays under h), a call (enters the pushed frame h′, and
+  // h becomes a caller of h′) and a return against h (an exit of h, which
+  // resumes under every caller of h). Exits found before a caller and
+  // callers found before an exit are joined from both sides, so the order
+  // of discovery does not matter. Frames map to dense slots; the worklist
+  // is FIFO so a capped run keeps the shallow contexts, which carry most
+  // traffic.
+  constexpr uint32_t kNoSlot = ~uint32_t{0};
+  std::vector<FrameSlot> slots(1);
+  slots[0].frame = kNoState;
+  // A return at top level is pending and stays at top level: the
+  // top-level slot is its own caller.
+  slots[0].callers.push_back(0);
+  std::vector<uint32_t> slot_of;  ///< product id → its frame slot
+  auto slot_for = [&](StateId h) {
+    if (h >= slot_of.size()) slot_of.resize(num_states(), kNoSlot);
+    if (slot_of[h] == kNoSlot) {
+      slot_of[h] = static_cast<uint32_t>(slots.size());
+      slots.emplace_back().frame = h;
+    }
+    return slot_of[h];
+  };
+  std::vector<std::pair<uint32_t, StateId>> work;
+  auto reach = [&](uint32_t s, StateId q) {
+    if (slots[s].contexts.Insert(q)) work.emplace_back(s, q);
+  };
+  reach(0, initial_);
+  for (size_t head = 0; head < work.size(); ++head) {
+    if (num_states() > max_states) return false;
+    const auto [s, q] = work[head];
+    const StateId h = slots[s].frame;
+    for (Symbol a = 0; a < num_symbols_; ++a) {
+      reach(s, StepInternal(q, a));
+
+      StateId pushed;
+      const StateId entry = StepCall(q, a, &pushed);
+      const uint32_t callee = slot_for(pushed);
+      reach(callee, entry);
+      if (slots[callee].caller_set.Insert(s)) {
+        slots[callee].callers.push_back(s);
+        for (size_t i = 0; i < slots[callee].exits.size(); ++i) {
+          reach(s, slots[callee].exits[i]);
+        }
+      }
+
+      const StateId exit = StepReturn(q, h, a);
+      if (slots[s].exit_set.Insert(exit)) {
+        slots[s].exits.push_back(exit);
+        for (size_t i = 0; i < slots[s].callers.size(); ++i) {
+          reach(slots[s].callers[i], exit);
+        }
+      }
+    }
+  }
+  return true;
 }
 
 std::vector<SharedBank::MemoReturn> SharedBank::MemoizedReturns() const {
   std::vector<MemoReturn> out;
-  out.reserve(returns_.size());
-  for (const auto& [key, target] : returns_) {
+  out.reserve(num_returns_);
+  for (const auto& [key, row] : return_rows_) {
     StateId q = static_cast<StateId>(key >> 40);
     StateId h = static_cast<StateId>((key >> 16) & ((1u << 24) - 1));
     if (h == (1u << 24) - 1) h = kNoState;  // the pending-frame packing
-    Symbol a = static_cast<Symbol>(key & 0xFFFF);
-    out.push_back({q, h, a, target});
+    for (Symbol a = 0; a < num_symbols_; ++a) {
+      StateId target = return_targets_[row + a];
+      if (target != kNoState) out.push_back({q, h, a, target});
+    }
   }
   return out;
 }
@@ -161,12 +210,12 @@ StateId SharedBank::StepInternal(StateId q, Symbol a) {
   }
   if (stats_ != nullptr) stats_->bank_memo_misses.Inc();
   const size_t k = autos_.size();
-  std::vector<StateId> next(k);
+  StateId* next = tuple_buf_.data();
   for (size_t i = 0; i < k; ++i) {
     next[i] = autos_[i]->StepInternal(tuples_[q * k + i], a);
   }
   // Intern may grow internal_; recompute the slot instead of using `memo`.
-  StateId id = Intern(next);
+  StateId id = Intern(next, k);
   internal_[q * num_symbols_ + a] = id;
   return id;
 }
@@ -180,12 +229,13 @@ StateId SharedBank::StepCall(StateId q, Symbol a, StateId* hier_out) {
   }
   if (stats_ != nullptr) stats_->bank_memo_misses.Inc();
   const size_t k = autos_.size();
-  std::vector<StateId> lin(k), hier(k);
+  StateId* lin = tuple_buf_.data();
+  StateId* hier = lin + k;
   for (size_t i = 0; i < k; ++i) {
     lin[i] = autos_[i]->StepCall(tuples_[q * k + i], a, &hier[i]);
   }
-  StateId lin_id = Intern(lin);
-  StateId hier_id = Intern(hier);
+  StateId lin_id = Intern(lin, k);
+  StateId hier_id = Intern(hier, k);
   call_lin_[q * num_symbols_ + a] = lin_id;
   call_hier_[q * num_symbols_ + a] = hier_id;
   *hier_out = hier_id;
@@ -195,23 +245,28 @@ StateId SharedBank::StepCall(StateId q, Symbol a, StateId* hier_out) {
 StateId SharedBank::StepReturn(StateId q, StateId hier, Symbol a) {
   NW_DCHECK(q < num_states() && a < num_symbols_);
   NW_DCHECK(hier == kNoState || hier < num_states());
-  uint64_t key = PackReturnKey(q, hier, a);
-  auto it = returns_.find(key);
-  if (it != returns_.end()) {
+  auto [row, fresh] = return_rows_.try_emplace(PackReturnKey(q, hier, 0),
+                                               return_targets_.size());
+  if (fresh) {
+    return_targets_.resize(return_targets_.size() + num_symbols_, kNoState);
+  }
+  const size_t slot = row->second + a;
+  if (return_targets_[slot] != kNoState) {
     if (stats_ != nullptr) stats_->bank_memo_hits.Inc();
-    return it->second;
+    return return_targets_[slot];
   }
   if (stats_ != nullptr) stats_->bank_memo_misses.Inc();
   const size_t k = autos_.size();
-  std::vector<StateId> next(k);
+  StateId* next = tuple_buf_.data();
   for (size_t i = 0; i < k; ++i) {
     // A pending return (no frame) lets each component read its own
     // hier_initial, matching the per-query engine path exactly.
     StateId h = hier == kNoState ? kNoState : tuples_[hier * k + i];
     next[i] = autos_[i]->StepReturn(tuples_[q * k + i], h, a);
   }
-  StateId id = Intern(next);
-  returns_.emplace(key, id);
+  StateId id = Intern(next, k);
+  return_targets_[slot] = id;
+  ++num_returns_;
   return id;
 }
 

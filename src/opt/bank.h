@@ -14,9 +14,12 @@
 // construction affordable — the full product is exponential in K, but
 // document streams drive the component automata through strongly
 // correlated trajectories (they all track the same ancestor chain), so
-// the reachable product is small. A hard state cap turns pathological
-// blow-ups into a loud failure instead of an OOM; callers can always fall
-// back to the per-query SoA path.
+// the reachable product is small. Eager exploration (ExploreAll) keeps
+// to that reachable part too: it walks the (frame, state) contexts some
+// run can reach, in the manner of the paper's summary saturation, rather
+// than every state against every frame. A hard state cap turns
+// pathological blow-ups into a loud failure instead of an OOM; callers
+// can always fall back to the per-query SoA path.
 #ifndef NW_OPT_BANK_H_
 #define NW_OPT_BANK_H_
 
@@ -75,14 +78,19 @@ class SharedBank {
   // pre-explores the product, snapshots it into an immutable FrozenBank,
   // and keeps per-shard SharedBanks as mutable overflow space. --
 
-  /// Drives the lazy product to a fixed point over the whole alphabet:
-  /// every (state, symbol) internal and call step, and every return step
-  /// over (state, pushable frame, symbol) — where the pushable frames are
-  /// exactly the call-hier targets plus the pending-return sentinel — is
-  /// memoized. Afterwards a frozen snapshot cannot miss on any stream
-  /// whose symbols are in range. Stops early and returns false if the
-  /// closure would exceed `max_states` (the partial exploration is kept;
-  /// a snapshot then serves what was reached and overflows the rest).
+  /// Memoizes every step some nested word can take from the initial
+  /// state. The closure runs breadth-first over reachable contexts
+  /// (frame, state): a state q is paired with the frame h on top of the
+  /// stack when some run reaches q under h (h = kNoState at top level,
+  /// where a return is pending). Each context steps every symbol as an
+  /// internal, a call and a return against its own frame, so the return
+  /// rows cover exactly the (state, frame) pairs runs can produce — not
+  /// every state against every frame. Afterwards a frozen snapshot cannot
+  /// miss on any stream whose symbols are in range. Stops early and
+  /// returns false once the product exceeds `max_states` (the partial
+  /// exploration is kept — breadth-first, so it is the shallow part,
+  /// which carries most traffic; a snapshot then serves what was reached
+  /// and overflows the rest).
   /// With a timeline (obs/prof.h) the call records one "explore" phase:
   /// wall µs plus the product state count before and after.
   bool ExploreAll(size_t max_states, CompileTimeline* timeline = nullptr);
@@ -159,9 +167,10 @@ class SharedBank {
   /// top value reserved for "pending" frames.
   static constexpr StateId kMaxStates = (1u << 24) - 1;
 
-  StateId Intern(const std::vector<StateId>& tuple);
-  /// ExploreAll's fixed-point loop, split out so the public entry can
-  /// clock it as one NWProf phase.
+  /// Interns the K-component tuple at `tuple` (`k` == num_queries()).
+  StateId Intern(const StateId* tuple, size_t k);
+  /// ExploreAll's reachable-context worklist, split out so the public
+  /// entry can clock it as one NWProf phase.
   bool ExploreFixpoint(size_t max_states);
 
   std::vector<const Nwa*> autos_;
@@ -177,7 +186,17 @@ class SharedBank {
   std::vector<StateId> internal_;   // [q*|Σ|+a]
   std::vector<StateId> call_lin_;   // [q*|Σ|+a]
   std::vector<StateId> call_hier_;  // [q*|Σ|+a]
-  std::unordered_map<uint64_t, StateId> returns_;
+  // Return memo in rows: each (state, frame) pair a run has returned from
+  // owns a |Σ|-wide row of return_targets_ (kNoState = not computed yet),
+  // found through return_rows_ under PackReturnKey(q, hier, 0). Runs and
+  // ExploreAll step many symbols against one context, so this keeps one
+  // hash entry per context rather than one per transition.
+  std::unordered_map<uint64_t, size_t> return_rows_;
+  std::vector<StateId> return_targets_;
+  size_t num_returns_ = 0;  ///< computed entries of return_targets_
+  /// 2K slots the memo-miss paths build successor tuples in, so a miss
+  /// allocates nothing unless it interns a new state.
+  std::vector<StateId> tuple_buf_;
   /// NWStats sink, or nullptr when observability is off (see set_stats).
   StatsSink* stats_ = nullptr;
 };

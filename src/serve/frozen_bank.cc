@@ -1,7 +1,7 @@
 #include "serve/frozen_bank.h"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "obs/prof.h"
 #include "obs/stats.h"
@@ -41,21 +41,21 @@ FrozenBank FrozenBank::Freeze(const SharedBank& bank,
   }
   // Sparse return table: pack, then sort keys and targets together so
   // lookups are one binary search over a contiguous key array.
-  std::vector<SharedBank::MemoReturn> rules = bank.MemoizedReturns();
-  std::vector<size_t> order(rules.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::vector<uint64_t> keys(rules.size());
-  for (size_t i = 0; i < rules.size(); ++i) {
-    keys[i] = SharedBank::PackReturnKey(rules[i].from, rules[i].hier,
-                                       rules[i].symbol);
+  std::vector<std::pair<uint64_t, StateId>> rules;
+  {
+    std::vector<SharedBank::MemoReturn> memo = bank.MemoizedReturns();
+    rules.reserve(memo.size());
+    for (const SharedBank::MemoReturn& r : memo) {
+      rules.emplace_back(SharedBank::PackReturnKey(r.from, r.hier, r.symbol),
+                         r.target);
+    }
   }
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return keys[a] < keys[b]; });
+  std::sort(rules.begin(), rules.end());
   f.return_keys_.reserve(rules.size());
   f.return_targets_.reserve(rules.size());
-  for (size_t i : order) {
-    f.return_keys_.push_back(keys[i]);
-    f.return_targets_.push_back(rules[i].target);
+  for (const auto& [key, target] : rules) {
+    f.return_keys_.push_back(key);
+    f.return_targets_.push_back(target);
   }
   if (timeline != nullptr) {
     // Freezing re-lays-out, never explores: the state count is flat.

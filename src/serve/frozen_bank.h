@@ -7,11 +7,12 @@
 // roles:
 //
 //  * FrozenBank — an immutable snapshot of everything a SharedBank has
-//    explored (after training on a corpus or an exhaustive ExploreAll),
-//    re-laid-out for concurrent readers: dense flat internal/call tables,
-//    a sorted sparse return table probed by binary search, accept bitsets
-//    and live counts per state. After Freeze() nothing is ever written,
-//    so any number of threads may step it lock-free.
+//    explored (after training on a corpus, or after ExploreAll has closed
+//    every step a run can reach), re-laid-out for concurrent readers:
+//    dense flat internal/call tables, a sorted sparse return table probed
+//    by binary search, accept bitsets and live counts per state. After
+//    Freeze() nothing is ever written, so any number of threads may step
+//    it lock-free.
 //  * OverflowBank — a per-shard, mutex-guarded escape hatch for steps the
 //    snapshot never saw. A miss transplants the frozen state's component
 //    tuple into a shard-local SharedBank, steps it there, and maps the
@@ -49,9 +50,10 @@ class FrozenBank {
  public:
   /// Snapshots `bank` as explored so far. Train first: either stream a
   /// corpus through a QueryEngine::AddBank engine, or call
-  /// bank.ExploreAll() for a coverage-complete snapshot. With a timeline
-  /// (obs/prof.h) the call records one "freeze" phase: the snapshot's
-  /// re-layout wall µs over the bank's state count.
+  /// bank.ExploreAll() for a snapshot that no stream can miss (when it
+  /// completes under its cap). With a timeline (obs/prof.h) the call
+  /// records one "freeze" phase: the snapshot's re-layout wall µs over
+  /// the bank's state count.
   static FrozenBank Freeze(const SharedBank& bank,
                            CompileTimeline* timeline = nullptr);
 

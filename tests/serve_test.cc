@@ -17,6 +17,7 @@
 #include "query/engine.h"
 #include "query/nwquery.h"
 #include "serve/frozen_bank.h"
+#include "stream/tree_gen.h"
 #include "support/rng.h"
 #include "xml/xml.h"
 
@@ -24,9 +25,9 @@ namespace nw {
 namespace {
 
 // A bank mixing every atom kind plus `not`-heavy members (the ones whose
-// product states churn the most under streaming). Too rich a product to
-// close exhaustively — exactly the case the corpus-trained freeze plus
-// overflow fallback exists for.
+// product states churn the most under streaming). The tests below freeze
+// it after little or no training — exactly the case the overflow
+// fallback exists for.
 std::vector<std::string> RichQueryTexts() {
   return {
       "/a",
@@ -40,10 +41,33 @@ std::vector<std::string> RichQueryTexts() {
   };
 }
 
-// A small bank whose full product closes in milliseconds — the regime
-// where exhaustive ExploreAll guarantees a miss-free snapshot.
+// A small bank whose reachable product closes in well under a
+// millisecond; a completed ExploreAll guarantees a miss-free snapshot.
 std::vector<std::string> SmallQueryTexts() {
   return {"/a", "//b", "a then c", "depth >= 3"};
+}
+
+// The standard bank of the serving benches: eight query templates over
+// rotating element names a..h, cycled until there are `k` queries.
+std::vector<std::string> StandardBankQueries(size_t k) {
+  const char* names[] = {"a", "b", "c", "d", "e", "f", "g", "h"};
+  constexpr size_t n = sizeof(names) / sizeof(names[0]);
+  std::vector<std::string> out;
+  for (size_t i = 0; out.size() < k; ++i) {
+    const std::string x = names[i % n];
+    const std::string y = names[(i + 1 + i / n) % n];
+    switch (i % 8) {
+      case 0: out.push_back("/" + x); break;
+      case 1: out.push_back("//" + y); break;
+      case 2: out.push_back("/" + x + "/" + y); break;
+      case 3: out.push_back("/" + x + "//" + y); break;
+      case 4: out.push_back(x + " then " + y); break;
+      case 5: out.push_back("depth >= " + std::to_string(2 + i % 5)); break;
+      case 6: out.push_back("//" + x + "/*/" + y); break;
+      default: out.push_back("not //" + x); break;
+    }
+  }
+  return out;
 }
 
 struct Workload {
@@ -157,6 +181,46 @@ TEST(FrozenBank, SnapshotAnswersLikeTheLiveBank) {
   }
 }
 
+std::string Render(const std::vector<TreeNode>& forest, InputFormat format) {
+  switch (format) {
+    case InputFormat::kJson: return RenderJson(forest);
+    case InputFormat::kTrace: return RenderTrace(forest);
+    default: return RenderXml(forest);
+  }
+}
+
+/// Corrupts a rendered document in its own syntax: drops about one
+/// closer in five and injects stray closers, so every front end streams
+/// pending calls and pending returns.
+std::string CorruptRendered(Rng* rng, const std::string& doc,
+                            InputFormat format) {
+  if (format == InputFormat::kXml) return Corrupt(rng, doc);
+  std::string out;
+  if (format == InputFormat::kJson) {
+    for (char c : doc) {
+      if ((c == '}' || c == ']') && rng->Chance(1, 5)) continue;
+      if (c == '"' && rng->Chance(1, 12)) out += '}';
+      out += c;
+    }
+    return out;
+  }
+  // Trace: space-separated tokens; `x>` closes frame x.
+  size_t i = 0;
+  while (i < doc.size()) {
+    size_t end = doc.find(' ', i);
+    if (end == std::string::npos) end = doc.size();
+    const std::string token = doc.substr(i, end - i);
+    i = end + 1;
+    if (rng->Chance(1, 12)) out += "h> ";
+    const bool closer = token.size() > 1 && token.back() == '>' &&
+                        token.front() != '<';
+    if (closer && rng->Chance(1, 5)) continue;
+    out += token;
+    out += ' ';
+  }
+  return out;
+}
+
 TEST(FrozenBank, ExhaustiveExplorationNeverMisses) {
   Workload w(SmallQueryTexts());
   ASSERT_TRUE(w.bank.shared->ExploreAll(1u << 20));
@@ -167,15 +231,89 @@ TEST(FrozenBank, ExhaustiveExplorationNeverMisses) {
   EXPECT_EQ(evaluator.stats().frozen_misses, 0u);
   EXPECT_EQ(evaluator.stats().hit_rate(), 1.0);
   EXPECT_GT(evaluator.stats().frozen_hits, 0u);
+
+  // Prefixes of the standard bank over corrupted documents in all three
+  // formats: the reachable-context closure must cover every step any
+  // stream takes, and serve exactly what a cold snapshot (every step an
+  // overflow) computes.
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e",
+                                          "f", "g", "h", "item"};
+  for (size_t k : {4u, 6u, 8u}) {
+    Workload explored(StandardBankQueries(k));
+    Workload cold(StandardBankQueries(k));
+    ASSERT_TRUE(explored.bank.shared->ExploreAll(1u << 20));
+    if (k == 6) {
+      // Size pin: the reachable part is 141 states and 3,241 returns;
+      // pairing every state with every frame would take 3,096 states and
+      // 22.4M returns.
+      EXPECT_LE(explored.bank.shared->num_states(), 256u);
+      EXPECT_LE(explored.bank.shared->MemoizedReturns().size(), 8192u);
+    }
+    FrozenBank complete = FrozenBank::Freeze(*explored.bank.shared);
+    FrozenBank cold_frozen = FrozenBank::Freeze(*cold.bank.shared);
+    for (InputFormat format :
+         {InputFormat::kXml, InputFormat::kJson, InputFormat::kTrace}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " format=" +
+                   InputFormatName(format));
+      Rng rng(300 + k);
+      std::vector<std::string> docs;
+      for (size_t i = 0; i < 30; ++i) {
+        std::string doc = Render(RandomForest(&rng, names, 60 + i * 20,
+                                              2 + i % 10),
+                                 format);
+        if (i % 5 == 4) doc = CorruptRendered(&rng, doc, format);
+        docs.push_back(std::move(doc));
+      }
+      ShardedEvaluator want_ev(&cold_frozen, cold.num_symbols, cold.other,
+                               2, format);
+      ShardedEvaluator got_ev(&complete, explored.num_symbols,
+                              explored.other, 2, format);
+      std::vector<DocResult> want =
+          want_ev.EvaluateCorpus(docs, cold.alphabet, true);
+      std::vector<DocResult> got =
+          got_ev.EvaluateCorpus(docs, explored.alphabet, true);
+      ExpectSameResults(want, got);
+      EXPECT_EQ(got_ev.stats().frozen_misses, 0u);
+      EXPECT_GT(got_ev.stats().frozen_hits, 0u);
+    }
+  }
+}
+
+// A state that only a pending return reaches: a return at top level reads
+// the hier_initial frame, and the closure must go on from its target.
+TEST(FrozenBank, ExplorationContinuesAfterPendingReturns) {
+  Nwa nwa(1);
+  const StateId q0 = nwa.AddState();
+  const StateId frame = nwa.AddState();
+  const StateId pending = nwa.AddState();  // read by pending returns only
+  const StateId after = nwa.AddState(/*is_final=*/true);
+  nwa.set_initial(q0);
+  nwa.set_hier_initial(pending);
+  for (StateId q : {q0, after}) {
+    nwa.SetInternal(q, 0, q);
+    nwa.SetCall(q, 0, q, frame);
+    nwa.SetReturn(q, frame, 0, q);
+    nwa.SetReturn(q, pending, 0, after);
+  }
+  SharedBank bank({&nwa});
+  ASSERT_TRUE(bank.ExploreAll(64));
+  FrozenBank frozen = FrozenBank::Freeze(bank);
+  const StateId t = frozen.Return(frozen.initial(), kNoState, 0);
+  ASSERT_NE(t, kNoState);
+  EXPECT_TRUE(frozen.accepting(t, 0));
+  EXPECT_NE(frozen.Internal(t, 0), kNoState);
+  EXPECT_NE(frozen.CallLinear(t, 0), kNoState);
+  EXPECT_NE(frozen.Return(t, frozen.CallHier(t, 0), 0), kNoState);
 }
 
 TEST(FrozenBank, OverflowMapsBackIntoFrozenSpace) {
   Workload w(SmallQueryTexts());
   ASSERT_TRUE(w.bank.shared->ExploreAll(1u << 20));
   FrozenBank frozen = FrozenBank::Freeze(*w.bank.shared);
-  // The snapshot is total, so every overflow step's target tuple exists
-  // in frozen space and must come back as an untagged frozen id equal to
-  // the snapshot's own answer.
+  // The snapshot covers every step a run can take, so every overflow
+  // step from a reachable context lands on a tuple that exists in frozen
+  // space and must come back as an untagged frozen id equal to the
+  // snapshot's own answer.
   OverflowBank overflow(&frozen);
   StateId q = frozen.initial();
   for (Symbol a = 0; a < frozen.num_symbols(); ++a) {
@@ -187,7 +325,10 @@ TEST(FrozenBank, OverflowMapsBackIntoFrozenSpace) {
     EXPECT_EQ(lin, frozen.CallLinear(q, a));
     h2 = frozen.CallHier(q, a);
     EXPECT_EQ(h1, h2);
-    EXPECT_EQ(overflow.StepReturn(q, h2, a), frozen.Return(q, h2, a));
+    // The call just entered `lin` under frame `h2`: returning from there
+    // is a step runs take, so the snapshot holds it.
+    ASSERT_NE(frozen.Return(lin, h2, a), kNoState);
+    EXPECT_EQ(overflow.StepReturn(lin, h2, a), frozen.Return(lin, h2, a));
   }
   EXPECT_GT(overflow.steps(), 0u);
 }
