@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -191,6 +192,9 @@ void DaemonServer::Run() {
 
 void DaemonServer::Serve(int fd) {
   std::string buffer;
+  // Bytes of `buffer` already searched for a newline: each recv scans only
+  // what it appended, so a long line costs linear time, not quadratic.
+  size_t scanned = 0;
   char chunk[4096];
   bool open = true;
   while (open) {
@@ -210,7 +214,8 @@ void DaemonServer::Serve(int fd) {
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
     size_t nl;
-    while (open && (nl = buffer.find('\n', start)) != std::string::npos) {
+    while (open && (nl = buffer.find('\n', std::max(start, scanned))) !=
+                       std::string::npos) {
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
@@ -219,6 +224,7 @@ void DaemonServer::Serve(int fd) {
       if (!SendAll(fd, response)) open = false;
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
   }
   ::close(fd);
 }

@@ -19,11 +19,6 @@ uint64_t SharedBank::TupleHash(const StateId* tuple, size_t k) {
   return h;
 }
 
-uint64_t SharedBank::PackReturnKey(StateId q, StateId hier, Symbol a) {
-  uint64_t h = hier == kNoState ? ((1u << 24) - 1) : hier;
-  return (static_cast<uint64_t>(q) << 40) | (h << 16) | a;
-}
-
 SharedBank::SharedBank(std::vector<const Nwa*> autos)
     : autos_(std::move(autos)) {
   NW_CHECK_MSG(!autos_.empty(), "shared bank needs at least one automaton");
@@ -35,7 +30,10 @@ SharedBank::SharedBank(std::vector<const Nwa*> autos)
   NW_CHECK_MSG(num_symbols_ <= (1u << 16),
                "symbol space exceeds the product return-key packing");
   words_ = (autos_.size() + 63) / 64;
+  component_rows_.resize(autos_.size());
+  dead_row_.assign(num_symbols_, kNoState);
   tuple_buf_.resize(2 * autos_.size());
+  row_buf_.resize(autos_.size());
   for (size_t i = 0; i < autos_.size(); ++i) {
     tuple_buf_[i] = autos_[i]->initial();
   }
@@ -43,19 +41,18 @@ SharedBank::SharedBank(std::vector<const Nwa*> autos)
 }
 
 StateId SharedBank::Intern(const StateId* tuple, size_t k) {
-  std::vector<StateId>& bucket = buckets_[TupleHash(tuple, k)];
-  for (StateId id : bucket) {
-    if (std::equal(tuple, tuple + k, tuples_.begin() + id * k)) {
-      return id;
-    }
-  }
+  const uint64_t hash = TupleHash(tuple, k);
+  const StateId found = tuple_index_.Find(hash, [&](uint32_t id) {
+    return std::equal(tuple, tuple + k, tuples_.begin() + size_t{id} * k);
+  });
+  if (found != FlatIndex::kNone) return found;
   NW_CHECK_MSG(live_.size() < kMaxStates,
                "shared bank product exploded past %u states; use the "
                "per-query SoA engine path for this bank",
                kMaxStates);
   StateId id = static_cast<StateId>(live_.size());
   if (stats_ != nullptr) stats_->bank_states.Inc();
-  bucket.push_back(id);
+  tuple_index_.Insert(hash, id);
   tuples_.insert(tuples_.end(), tuple, tuple + k);
   accept_.resize(accept_.size() + words_, 0);
   uint32_t live = 0;
@@ -160,6 +157,10 @@ bool SharedBank::ExploreFixpoint(size_t max_states) {
     if (num_states() > max_states) return false;
     const auto [s, q] = work[head];
     const StateId h = slots[s].frame;
+    // The context's return row, completed once; the steps below intern
+    // states but create no rows, so the pointer stays valid.
+    StateId* exits = ReturnRow(q, h);
+    FillReturns(q, h, exits, 0, static_cast<Symbol>(num_symbols_));
     for (Symbol a = 0; a < num_symbols_; ++a) {
       reach(s, StepInternal(q, a));
 
@@ -174,7 +175,7 @@ bool SharedBank::ExploreFixpoint(size_t max_states) {
         }
       }
 
-      const StateId exit = StepReturn(q, h, a);
+      const StateId exit = exits[a];
       if (slots[s].exit_set.Insert(exit)) {
         slots[s].exits.push_back(exit);
         for (size_t i = 0; i < slots[s].callers.size(); ++i) {
@@ -189,15 +190,15 @@ bool SharedBank::ExploreFixpoint(size_t max_states) {
 std::vector<SharedBank::MemoReturn> SharedBank::MemoizedReturns() const {
   std::vector<MemoReturn> out;
   out.reserve(num_returns_);
-  for (const auto& [key, row] : return_rows_) {
+  return_rows_.ForEach([&](uint64_t key, uint32_t row) {
     StateId q = static_cast<StateId>(key >> 40);
     StateId h = static_cast<StateId>((key >> 16) & ((1u << 24) - 1));
     if (h == (1u << 24) - 1) h = kNoState;  // the pending-frame packing
+    const StateId* targets = return_targets_.data() + row * num_symbols_;
     for (Symbol a = 0; a < num_symbols_; ++a) {
-      StateId target = return_targets_[row + a];
-      if (target != kNoState) out.push_back({q, h, a, target});
+      if (targets[a] != kNoState) out.push_back({q, h, a, targets[a]});
     }
-  }
+  });
   return out;
 }
 
@@ -245,29 +246,66 @@ StateId SharedBank::StepCall(StateId q, Symbol a, StateId* hier_out) {
 StateId SharedBank::StepReturn(StateId q, StateId hier, Symbol a) {
   NW_DCHECK(q < num_states() && a < num_symbols_);
   NW_DCHECK(hier == kNoState || hier < num_states());
-  auto [row, fresh] = return_rows_.try_emplace(PackReturnKey(q, hier, 0),
-                                               return_targets_.size());
-  if (fresh) {
+  StateId* row = ReturnRow(q, hier);
+  FillReturns(q, hier, row, a, a + 1);
+  return row[a];
+}
+
+StateId* SharedBank::ReturnRow(StateId q, StateId hier) {
+  const uint64_t key = PackReturnKey(q, hier, 0);
+  uint32_t row = return_rows_.Find(key);
+  if (row == FlatIndex::kNone) {
+    row = static_cast<uint32_t>(return_targets_.size() / num_symbols_);
+    return_rows_.Insert(key, row);
     return_targets_.resize(return_targets_.size() + num_symbols_, kNoState);
   }
-  const size_t slot = row->second + a;
-  if (return_targets_[slot] != kNoState) {
-    if (stats_ != nullptr) stats_->bank_memo_hits.Inc();
-    return return_targets_[slot];
-  }
-  if (stats_ != nullptr) stats_->bank_memo_misses.Inc();
+  return return_targets_.data() + size_t{row} * num_symbols_;
+}
+
+void SharedBank::FillReturns(StateId q, StateId hier, StateId* row,
+                             Symbol lo, Symbol hi) {
   const size_t k = autos_.size();
-  StateId* next = tuple_buf_.data();
-  for (size_t i = 0; i < k; ++i) {
-    // A pending return (no frame) lets each component read its own
-    // hier_initial, matching the per-query engine path exactly.
-    StateId h = hier == kNoState ? kNoState : tuples_[hier * k + i];
-    next[i] = autos_[i]->StepReturn(tuples_[q * k + i], h, a);
+  bool have_rows = false;
+  for (Symbol a = lo; a < hi; ++a) {
+    if (row[a] != kNoState) {
+      if (stats_ != nullptr) stats_->bank_memo_hits.Inc();
+      continue;
+    }
+    if (stats_ != nullptr) stats_->bank_memo_misses.Inc();
+    if (!have_rows) {
+      // A pending return (no frame) lets each component read its own
+      // hier_initial, matching the per-query engine path exactly. Each
+      // component's rows live in their own vector, so fetching row i
+      // leaves the pointers to rows 0..i-1 valid.
+      for (size_t i = 0; i < k; ++i) {
+        const StateId h = hier == kNoState ? kNoState : tuples_[hier * k + i];
+        row_buf_[i] = ComponentReturnRow(i, tuples_[q * k + i], h);
+      }
+      have_rows = true;
+    }
+    StateId* next = tuple_buf_.data();
+    for (size_t i = 0; i < k; ++i) next[i] = row_buf_[i][a];
+    row[a] = Intern(next, k);  // interning never touches the return rows
+    ++num_returns_;
   }
-  StateId id = Intern(next, k);
-  return_targets_[slot] = id;
-  ++num_returns_;
-  return id;
+}
+
+const StateId* SharedBank::ComponentReturnRow(size_t i, StateId q,
+                                              StateId h) {
+  if (q == kNoState) return dead_row_.data();  // a dead run stays dead
+  const Nwa& nwa = *autos_[i];
+  if (h == kNoState) h = nwa.hier_initial();
+  ComponentRows& rows = component_rows_[i];
+  const uint64_t key = (uint64_t{q} << 32) | h;
+  uint32_t row = rows.index.Find(key);
+  if (row == FlatIndex::kNone) {
+    row = static_cast<uint32_t>(rows.cells.size() / num_symbols_);
+    rows.index.Insert(key, row);
+    for (Symbol a = 0; a < num_symbols_; ++a) {
+      rows.cells.push_back(nwa.StepReturn(q, h, a));
+    }
+  }
+  return rows.cells.data() + size_t{row} * num_symbols_;
 }
 
 }  // namespace nw

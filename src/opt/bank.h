@@ -7,9 +7,14 @@
 // the resident run state become independent of the bank size.
 //
 // The product is explored lazily and memoized: the first time a
-// (state, symbol) or (state, frame, symbol) combination is stepped, the
-// K component transitions run once and the resulting tuple is interned;
-// every later visit is a single table lookup. Only the product states a
+// (state, symbol) combination is stepped as an internal or a call, the K
+// component transitions run once and the resulting tuple is interned;
+// every later visit is a single table lookup. Returns are memoized in
+// rows: each (state, frame) context a run returns from owns one |Σ|-wide
+// row of product targets, filled from per-component return rows
+// δr_i(q_i, h_i, ·) that each component computes once per (q_i, h_i) pair
+// seen, so a product return miss costs K row probes, not K automaton
+// lookups per symbol. Only the product states a
 // real stream reaches are ever materialized, which is what makes the
 // construction affordable — the full product is exponential in K, but
 // document streams drive the component automata through strongly
@@ -24,10 +29,10 @@
 #define NW_OPT_BANK_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "nwa/nwa.h"
+#include "support/flat_index.h"
 
 namespace nw {
 
@@ -128,9 +133,12 @@ class SharedBank {
 
   /// Packs a product return lookup (24-bit states, 16-bit symbol); a
   /// pending frame (hier == kNoState) packs as the reserved all-ones
-  /// hier value. Shared with FrozenBank's sorted return table so the
-  /// snapshot and the live memo can never disagree on layout.
-  static uint64_t PackReturnKey(StateId q, StateId hier, Symbol a);
+  /// hier value. With a = 0 it keys the return row of context (q, hier),
+  /// in the live memo and in FrozenBank's copy of it alike.
+  static uint64_t PackReturnKey(StateId q, StateId hier, Symbol a) {
+    const uint64_t h = hier == kNoState ? kMaxStates : hier;
+    return (uint64_t{q} << 40) | (h << 16) | a;
+  }
 
   /// One memoized return transition (hier == kNoState for the pending-
   /// return row), unpacked for snapshotting.
@@ -167,8 +175,23 @@ class SharedBank {
   /// top value reserved for "pending" frames.
   static constexpr StateId kMaxStates = (1u << 24) - 1;
 
+  /// FrozenBank::Freeze copies the tables below as they are.
+  friend class FrozenBank;
+
   /// Interns the K-component tuple at `tuple` (`k` == num_queries()).
   StateId Intern(const StateId* tuple, size_t k);
+  /// The |Σ|-wide product return row of context (q, hier), created empty
+  /// (all kNoState) on first sight. Valid until the next row is created.
+  StateId* ReturnRow(StateId q, StateId hier);
+  /// Computes the missing cells [lo, hi) of `row` = ReturnRow(q, hier),
+  /// counting a memo hit or miss per symbol. The one return path: both
+  /// StepReturn (one symbol) and the explore (whole rows) go through it.
+  void FillReturns(StateId q, StateId hier, StateId* row, Symbol lo,
+                   Symbol hi);
+  /// Component i's return row δr_i(q, h, ·) for its own states q and h
+  /// (h = kNoState reads its hier_initial), computed on first sight; a
+  /// dead run (q = kNoState) reads the all-dead row.
+  const StateId* ComponentReturnRow(size_t i, StateId q, StateId h);
   /// ExploreAll's reachable-context worklist, split out so the public
   /// entry can clock it as one NWProf phase.
   bool ExploreFixpoint(size_t max_states);
@@ -178,7 +201,7 @@ class SharedBank {
   size_t words_;
   StateId initial_;
   std::vector<StateId> tuples_;  ///< K components per state, state-major
-  std::unordered_map<uint64_t, std::vector<StateId>> buckets_;
+  FlatIndex tuple_index_;  ///< TupleHash → product id
   std::vector<uint64_t> accept_;
   std::vector<uint32_t> live_;
   // Memoized transitions; kNoState = not computed yet (a computed result
@@ -188,15 +211,22 @@ class SharedBank {
   std::vector<StateId> call_hier_;  // [q*|Σ|+a]
   // Return memo in rows: each (state, frame) pair a run has returned from
   // owns a |Σ|-wide row of return_targets_ (kNoState = not computed yet),
-  // found through return_rows_ under PackReturnKey(q, hier, 0). Runs and
-  // ExploreAll step many symbols against one context, so this keeps one
-  // hash entry per context rather than one per transition.
-  std::unordered_map<uint64_t, size_t> return_rows_;
+  // row number return_rows_[PackReturnKey(q, hier, 0)].
+  FlatIndex return_rows_;
   std::vector<StateId> return_targets_;
   size_t num_returns_ = 0;  ///< computed entries of return_targets_
-  /// 2K slots the memo-miss paths build successor tuples in, so a miss
-  /// allocates nothing unless it interns a new state.
+  /// Per component: rows δr_i(q_i, h_i, ·), row number
+  /// index[q_i << 32 | h_i]. Always complete (kNoState = dead).
+  struct ComponentRows {
+    FlatIndex index;
+    std::vector<StateId> cells;
+  };
+  std::vector<ComponentRows> component_rows_;
+  std::vector<StateId> dead_row_;  ///< |Σ| × kNoState
+  /// 2K slots the memo-miss paths build successor tuples in, and K row
+  /// pointers, so a miss allocates nothing unless it interns a new state.
   std::vector<StateId> tuple_buf_;
+  std::vector<const StateId*> row_buf_;
   /// NWStats sink, or nullptr when observability is off (see set_stats).
   StatsSink* stats_ = nullptr;
 };

@@ -1,7 +1,6 @@
 #include "serve/frozen_bank.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "obs/prof.h"
 #include "obs/stats.h"
@@ -19,46 +18,17 @@ FrozenBank FrozenBank::Freeze(const SharedBank& bank,
   f.num_states_ = bank.num_states();
   f.words_ = bank.accept_words();
   f.initial_ = bank.initial();
-  const size_t k = f.autos_.size();
-  const size_t sigma = f.num_symbols_;
-  f.internal_.resize(f.num_states_ * sigma);
-  f.call_lin_.resize(f.num_states_ * sigma);
-  f.call_hier_.resize(f.num_states_ * sigma);
-  f.tuples_.resize(f.num_states_ * k);
-  f.accept_.resize(f.num_states_ * f.words_);
-  f.live_.resize(f.num_states_);
-  for (StateId q = 0; q < f.num_states_; ++q) {
-    for (Symbol a = 0; a < sigma; ++a) {
-      f.internal_[q * sigma + a] = bank.PeekInternal(q, a);
-      f.call_lin_[q * sigma + a] = bank.PeekCallLinear(q, a);
-      f.call_hier_[q * sigma + a] = bank.PeekCallHier(q, a);
-    }
-    std::copy(bank.tuple(q), bank.tuple(q) + k, f.tuples_.begin() + q * k);
-    std::copy(bank.accepts(q), bank.accepts(q) + f.words_,
-              f.accept_.begin() + q * f.words_);
-    f.live_[q] = static_cast<uint32_t>(bank.live(q));
-    f.buckets_[SharedBank::TupleHash(f.tuple(q), k)].push_back(q);
-  }
-  // Sparse return table: pack, then sort keys and targets together so
-  // lookups are one binary search over a contiguous key array.
-  std::vector<std::pair<uint64_t, StateId>> rules;
-  {
-    std::vector<SharedBank::MemoReturn> memo = bank.MemoizedReturns();
-    rules.reserve(memo.size());
-    for (const SharedBank::MemoReturn& r : memo) {
-      rules.emplace_back(SharedBank::PackReturnKey(r.from, r.hier, r.symbol),
-                         r.target);
-    }
-  }
-  std::sort(rules.begin(), rules.end());
-  f.return_keys_.reserve(rules.size());
-  f.return_targets_.reserve(rules.size());
-  for (const auto& [key, target] : rules) {
-    f.return_keys_.push_back(key);
-    f.return_targets_.push_back(target);
-  }
+  f.internal_ = bank.internal_;
+  f.call_lin_ = bank.call_lin_;
+  f.call_hier_ = bank.call_hier_;
+  f.return_rows_ = bank.return_rows_;
+  f.return_targets_ = bank.return_targets_;
+  f.tuples_ = bank.tuples_;
+  f.tuple_index_ = bank.tuple_index_;
+  f.accept_ = bank.accept_;
+  f.live_ = bank.live_;
   if (timeline != nullptr) {
-    // Freezing re-lays-out, never explores: the state count is flat.
+    // Freezing copies, never explores: the state count is flat.
     timeline->Record("freeze", static_cast<uint64_t>(sw.ElapsedUs()),
                      f.num_states_, f.num_states_);
   }
@@ -70,21 +40,13 @@ std::shared_ptr<const FrozenBank> FrozenBank::FreezeShared(
   return std::make_shared<const FrozenBank>(Freeze(bank, timeline));
 }
 
-StateId FrozenBank::Return(StateId q, StateId hier, Symbol a) const {
-  uint64_t key = SharedBank::PackReturnKey(q, hier, a);
-  auto it = std::lower_bound(return_keys_.begin(), return_keys_.end(), key);
-  if (it == return_keys_.end() || *it != key) return kNoState;
-  return return_targets_[it - return_keys_.begin()];
-}
-
 StateId FrozenBank::FindTuple(const StateId* tuple) const {
   const size_t k = autos_.size();
-  auto it = buckets_.find(SharedBank::TupleHash(tuple, k));
-  if (it == buckets_.end()) return kNoState;
-  for (StateId q : it->second) {
-    if (std::equal(tuple, tuple + k, tuples_.begin() + q * k)) return q;
-  }
-  return kNoState;
+  const uint32_t q = tuple_index_.Find(
+      SharedBank::TupleHash(tuple, k), [&](uint32_t id) {
+        return std::equal(tuple, tuple + k, tuples_.begin() + size_t{id} * k);
+      });
+  return q == FlatIndex::kNone ? kNoState : q;
 }
 
 OverflowBank::OverflowBank(const FrozenBank* frozen)

@@ -8,11 +8,11 @@
 //
 //  * FrozenBank — an immutable snapshot of everything a SharedBank has
 //    explored (after training on a corpus, or after ExploreAll has closed
-//    every step a run can reach), re-laid-out for concurrent readers:
-//    dense flat internal/call tables, a sorted sparse return table probed
-//    by binary search, accept bitsets and live counts per state. After
-//    Freeze() nothing is ever written, so any number of threads may step
-//    it lock-free.
+//    every step a run can reach), copied table for table: dense flat
+//    internal/call tables, the return rows with their flat (state, frame)
+//    index, the tuple index, accept bitsets and live counts per state.
+//    After Freeze() nothing is ever written, so any number of threads may
+//    step it lock-free.
 //  * OverflowBank — a per-shard, mutex-guarded escape hatch for steps the
 //    snapshot never saw. A miss transplants the frozen state's component
 //    tuple into a shard-local SharedBank, steps it there, and maps the
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "opt/bank.h"
+#include "support/flat_index.h"
 
 namespace nw {
 
@@ -89,7 +90,13 @@ class FrozenBank {
     return call_hier_[q * num_symbols_ + a];
   }
   /// δr; `hier` is a frozen frame id or kNoState for a pending return.
-  StateId Return(StateId q, StateId hier, Symbol a) const;
+  /// One index probe for the row of (q, hier), then the symbol's cell.
+  StateId Return(StateId q, StateId hier, Symbol a) const {
+    const uint32_t row =
+        return_rows_.Find(SharedBank::PackReturnKey(q, hier, 0));
+    return row == FlatIndex::kNone ? kNoState
+                                   : return_targets_[row * num_symbols_ + a];
+  }
 
   // -- Per-state facts, snapshot copies of the SharedBank's. --
 
@@ -131,12 +138,14 @@ class FrozenBank {
   std::vector<StateId> internal_;   ///< dense [q*|Σ|+a]
   std::vector<StateId> call_lin_;   ///< dense [q*|Σ|+a]
   std::vector<StateId> call_hier_;  ///< dense [q*|Σ|+a]
-  std::vector<uint64_t> return_keys_;  ///< sorted packed (q, hier, a)
-  std::vector<StateId> return_targets_;  ///< parallel to return_keys_
-  std::vector<StateId> tuples_;          ///< K per state, state-major
+  /// Return rows, |Σ| per (q, hier) context; kNoState = never taken
+  /// (trained snapshots have partial rows).
+  FlatIndex return_rows_;  ///< PackReturnKey(q, hier, 0) → row number
+  std::vector<StateId> return_targets_;
+  std::vector<StateId> tuples_;  ///< K per state, state-major
+  FlatIndex tuple_index_;        ///< SharedBank::TupleHash → frozen id
   std::vector<uint64_t> accept_;
   std::vector<uint32_t> live_;
-  std::unordered_map<uint64_t, std::vector<StateId>> buckets_;
 };
 
 /// Mutable escape hatch for steps a FrozenBank snapshot does not cover.

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "daemon/protocol.h"
 #include "daemon/server.h"
 #include "obs/pulse.h"
+#include "obs/stats.h"
 #include "opt/pipeline.h"
 #include "query/engine.h"
 #include "query/nwquery.h"
@@ -633,6 +635,72 @@ TEST(DaemonServerTest, SigtermDrainsWithoutDying) {
   runner.join();  // Run() returns: accept loop saw the wake byte
   core.DrainAndStop();
   EXPECT_GE(core.Metrics().total_documents, 1u);
+}
+
+// A multi-MB single-line SUBMIT arriving in small writes (hundreds of
+// recv calls) must answer exactly as the in-process Submit does: the
+// server reassembles the line whole, however it was split on the wire.
+TEST(DaemonServerTest, LongLineInSmallPiecesAnswersLikeSubmit) {
+  DaemonOptions options;
+  DaemonCore core({"//b", "/a/c", "a then c", "depth >= 4"}, options);
+  ASSERT_TRUE(core.ok());
+  core.Start();
+
+  std::string doc;
+  for (size_t i = 0; doc.size() < (3u << 20); ++i) {
+    doc += i % 7 == 3 ? "<a><c><d><b>x</b></d></c></a>" : "<a><c>y</c></a>";
+  }
+  Result<SubmitOutcome> want = core.Submit(doc, InputFormat::kXml);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(want->result.accept[0]);  // a match position to compare
+  std::string expected =
+      ",\"positions\":" + std::to_string(want->result.positions);
+  std::string expected_results;
+  for (size_t i = 0; i < want->result.accept.size(); ++i) {
+    expected_results += "\"match\":";
+    expected_results += want->result.accept[i] ? "true" : "false";
+    if (want->result.accept[i]) {
+      expected_results +=
+          ",\"pos\":" + std::to_string(want->result.first_match[i]);
+    }
+    expected_results += "}";
+  }
+
+  ServerOptions server_options;
+  server_options.socket_path = TempSocketPath("longline");
+  DaemonServer server(&core, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread runner([&]() { server.Run(); });
+  int fd = UnixConnect(server_options.socket_path);
+  ASSERT_GE(fd, 0);
+
+  std::string line = "{\"op\":\"SUBMIT\",\"label\":\"big\",\"doc\":";
+  AppendJsonString(&line, doc);
+  line += "}\n";
+  constexpr size_t kPiece = 1500;
+  for (size_t off = 0; off < line.size(); off += kPiece) {
+    const size_t n = std::min(kPiece, line.size() - off);
+    ASSERT_EQ(::send(fd, line.data() + off, n, 0), static_cast<ssize_t>(n));
+  }
+  std::string response;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') response += c;
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  EXPECT_NE(response.find(expected + ",\"latency_us\":"), std::string::npos)
+      << response;
+  // The per-query results, in order, with the latency field cut away.
+  std::string got_results;
+  for (size_t at = response.find("\"match\":"); at != std::string::npos;
+       at = response.find("\"match\":", at + 1)) {
+    got_results += response.substr(at, response.find('}', at) + 1 - at);
+  }
+  EXPECT_EQ(got_results, expected_results);
+
+  EXPECT_NE(RoundTrip(fd, R"({"op":"SHUTDOWN"})").find("\"ok\":true"),
+            std::string::npos);
+  ::close(fd);
+  runner.join();
+  core.DrainAndStop();
 }
 
 }  // namespace

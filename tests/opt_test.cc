@@ -542,6 +542,58 @@ TEST(OptBank, LiveCountDropsAsComponentsDie) {
   EXPECT_FALSE(engine.Accepting(0));
 }
 
+// The bank's component return rows answer every product return exactly
+// as the components' own Nwa::StepReturn: a pending frame reads each
+// component's hier_initial, a sink absorbs missing rules, and a dead
+// component stays dead.
+TEST(OptBank, ComponentReturnRowsMatchEveryComponentStep) {
+  Nwa sinked(3);
+  const StateId q0 = sinked.AddState();
+  const StateId q1 = sinked.AddState(/*is_final=*/true);
+  const StateId bottom = sinked.AddState();  // pending frames read this
+  sinked.set_initial(q0);
+  sinked.set_hier_initial(bottom);
+  sinked.SetInternal(q0, 0, q1);
+  sinked.SetInternal(q1, 1, q0);
+  sinked.SetCall(q0, 0, q0, q1);
+  sinked.SetCall(q1, 2, q1, q0);
+  sinked.SetReturn(q0, q1, 0, q1);
+  sinked.SetReturn(q1, q0, 2, q0);
+  sinked.SetReturn(q0, bottom, 1, q1);
+  sinked.SetReturn(q1, bottom, 2, q0);
+  sinked.Totalize();  // every other step falls into the sink
+  Nwa dying(3);  // partial, no sink: dies on any symbol but 0
+  const StateId d0 = dying.AddState(/*is_final=*/true);
+  dying.set_initial(d0);
+  dying.SetInternal(d0, 0, d0);
+  dying.SetCall(d0, 0, d0, d0);
+  dying.SetReturn(d0, d0, 0, d0);
+
+  SharedBank bank({&sinked, &dying});
+  ASSERT_TRUE(bank.ExploreAll(1024));
+  const size_t n = bank.num_states();
+  size_t dead_frames = 0;
+  for (StateId h = 0; h < n; ++h) {
+    dead_frames += bank.component(h, 1) == kNoState;
+  }
+  ASSERT_GT(dead_frames, 0u);  // the second automaton died somewhere
+  std::vector<StateId> frames = {kNoState};
+  for (StateId h = 0; h < n; ++h) frames.push_back(h);
+  for (StateId q = 0; q < n; ++q) {
+    for (StateId h : frames) {
+      for (Symbol a = 0; a < 3; ++a) {
+        const StateId t = bank.StepReturn(q, h, a);
+        for (size_t i = 0; i < 2; ++i) {
+          const StateId hi = h == kNoState ? kNoState : bank.component(h, i);
+          EXPECT_EQ(bank.component(t, i),
+                    bank.autos()[i]->StepReturn(bank.component(q, i), hi, a))
+              << "q=" << q << " h=" << h << " a=" << a << " component " << i;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Match positions
 // ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/stats.h"
@@ -178,6 +181,71 @@ TEST(FrozenBank, SnapshotAnswersLikeTheLiveBank) {
   }
   for (const SharedBank::MemoReturn& r : shared->MemoizedReturns()) {
     EXPECT_EQ(frozen.Return(r.from, r.hier, r.symbol), r.target);
+  }
+}
+
+// A snapshot of a bank trained by streaming has partial return rows: it
+// must answer every memoized return, miss (kNoState) on every step the
+// training never took, and still serve exactly what a cold snapshot does.
+TEST(FrozenBank, TrainedSnapshotHasPartialRowsAndServesLikeACold) {
+  Workload trained(RichQueryTexts());
+  SharedBank* shared = trained.bank.shared.get();
+  QueryEngine trainer(trained.num_symbols);
+  trainer.set_other_symbol(trained.other);
+  trainer.AddBank(shared);
+  Alphabet train_alpha = trained.alphabet;
+  for (const std::string& doc : MakeCorpus(12, 41)) {
+    trainer.RunAll(doc, &train_alpha);
+  }
+  FrozenBank frozen = FrozenBank::Freeze(*shared);
+  ASSERT_EQ(frozen.num_states(), shared->num_states());
+  for (StateId q = 0; q < frozen.num_states(); ++q) {
+    EXPECT_EQ(frozen.FindTuple(frozen.tuple(q)), q);
+  }
+
+  const std::vector<SharedBank::MemoReturn> memo = shared->MemoizedReturns();
+  ASSERT_FALSE(memo.empty());
+  std::set<std::tuple<StateId, StateId, Symbol>> taken;
+  std::set<std::pair<StateId, StateId>> contexts;
+  for (const SharedBank::MemoReturn& r : memo) {
+    EXPECT_EQ(frozen.Return(r.from, r.hier, r.symbol), r.target);
+    taken.emplace(r.from, r.hier, r.symbol);
+    contexts.emplace(r.from, r.hier);
+  }
+  size_t untaken = 0;
+  for (const auto& [q, h] : contexts) {
+    for (Symbol a = 0; a < frozen.num_symbols(); ++a) {
+      if (taken.count({q, h, a}) != 0) continue;
+      EXPECT_EQ(frozen.Return(q, h, a), kNoState);
+      ++untaken;
+    }
+  }
+  EXPECT_GT(untaken, 0u);  // training left some rows partial
+  size_t never = 0;
+  for (StateId q = 0; q < frozen.num_states(); ++q) {
+    for (StateId h = 0; h < frozen.num_states(); ++h) {
+      if (contexts.count({q, h}) != 0) continue;
+      for (Symbol a = 0; a < frozen.num_symbols(); ++a) {
+        EXPECT_EQ(frozen.Return(q, h, a), kNoState);
+      }
+      ++never;
+    }
+  }
+  EXPECT_GT(never, 0u);
+
+  Workload cold(RichQueryTexts());
+  FrozenBank cold_frozen = FrozenBank::Freeze(*cold.bank.shared);
+  std::vector<std::string> docs = MakeCorpus(36, 43);
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ShardedEvaluator want_ev(&cold_frozen, cold.num_symbols, cold.other,
+                             threads);
+    ShardedEvaluator got_ev(&frozen, trained.num_symbols, trained.other,
+                            threads);
+    ExpectSameResults(want_ev.EvaluateCorpus(docs, cold.alphabet, true),
+                      got_ev.EvaluateCorpus(docs, trained.alphabet, true));
+    EXPECT_GT(got_ev.stats().frozen_hits, 0u);
+    EXPECT_GT(got_ev.stats().frozen_misses, 0u);
   }
 }
 
