@@ -170,7 +170,7 @@ void BankThroughputTable(const BenchConfig& cfg, BenchReport* report) {
     for (const OptimizedQuery& q : w.optimized.queries) {
       autos.push_back(&q.nwa);
     }
-    SharedBank product = CompileBank(autos);
+    SharedBank product(autos);
     QueryEngine bank(w.alphabet.size());
     bank.set_other_symbol(w.other);
     bank.AddBank(&product);
@@ -219,7 +219,7 @@ void BM_BankEngine(benchmark::State& state) {
   BankWorkload w(static_cast<size_t>(state.range(0)), 1u << 14);
   std::vector<const Nwa*> autos;
   for (const OptimizedQuery& q : w.optimized.queries) autos.push_back(&q.nwa);
-  SharedBank product = CompileBank(autos);
+  SharedBank product(autos);
   QueryEngine engine(w.alphabet.size());
   engine.set_other_symbol(w.other);
   engine.AddBank(&product);

@@ -132,7 +132,7 @@ void DaemonCore::PublishEpochLocked(bool refreshed, bool explore) {
     epoch->query_texts.push_back(a.text);
   }
   epoch->bank = bank_;
-  epoch->frozen = FrozenBank::FreezeShared(*bank_->shared);
+  epoch->frozen = SharedBank::FreezeShared(*bank_->shared);
   epoch->alphabet = alphabet_;
   // The engine symbol space is the bank's, not the (possibly larger)
   // master alphabet's: names interned by documents or by a failed ADMIT

@@ -5,12 +5,12 @@
 // retires queries online, and refreshes the frozen snapshot epoch-style:
 //
 //   epoch — an immutable published serving state: the admitted queries,
-//     their optimized bank, a FrozenBank snapshot, the alphabet at
-//     publish time, and the NWPulse baseline capture per-epoch metrics
-//     delta against. Published RCU-fashion as shared_ptr<const
-//     DaemonEpoch>: readers (the dispatcher, STATS renders) copy the
-//     handle and never block a publisher; a superseded epoch is
-//     reclaimed when its last holder drops it.
+//     their optimized bank, a frozen snapshot (a const SharedBank), the
+//     alphabet at publish time, and the NWPulse baseline capture
+//     per-epoch metrics delta against. Published RCU-fashion as
+//     shared_ptr<const DaemonEpoch>: readers (the dispatcher, STATS
+//     renders) copy the handle and never block a publisher; a superseded
+//     epoch is reclaimed when its last holder drops it.
 //
 //   admission — ADMIT parses the query against the master alphabet,
 //     re-runs the optimizer pipeline over the whole bank, and publishes
@@ -54,7 +54,6 @@
 #include "obs/stats.h"
 #include "opt/pipeline.h"
 #include "query/nwquery.h"
-#include "serve/frozen_bank.h"
 #include "serve/sharded.h"
 #include "stream/token_stream.h"
 #include "support/result.h"
@@ -95,7 +94,7 @@ struct DaemonEpoch {
   /// (and every overflow bank) aliases into.
   std::shared_ptr<OptimizedBank> bank;
   /// The immutable snapshot this epoch serves — the RCU unit.
-  std::shared_ptr<const FrozenBank> frozen;
+  std::shared_ptr<const SharedBank> frozen;
   /// Master-alphabet snapshot at publish (workers copy it per batch).
   Alphabet alphabet;
   size_t num_symbols = 0;

@@ -45,6 +45,7 @@
 #include "obs/pulse.h"
 #include "opt/pipeline.h"
 #include "stream/token_stream.h"
+#include "support/parse_uint.h"
 
 namespace {
 
@@ -67,18 +68,6 @@ int Usage() {
                "[--format xml|json|trace] [--refresh-cap N] "
                "[--stats-interval MS] [--pulse-file F]\n");
   return 2;
-}
-
-bool ParseUint(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
-  uint64_t v = 0;
-  for (; *s; ++s) {
-    if (*s < '0' || *s > '9') return false;
-    if (v > (UINT64_MAX - 9) / 10) return false;
-    v = v * 10 + static_cast<uint64_t>(*s - '0');
-  }
-  *out = v;
-  return true;
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {

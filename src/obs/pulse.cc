@@ -55,28 +55,6 @@ ProcessSample SampleProcess() {
 
 namespace {
 
-void AppendNum(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
-
-void Field(std::string* out, bool* first, const char* key, uint64_t v) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  AppendJsonString(out, key);
-  out->push_back(':');
-  AppendNum(out, v);
-}
-
-void FieldDbl(std::string* out, bool* first, const char* key, double v) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  AppendJsonString(out, key);
-  out->push_back(':');
-  AppendJsonDouble(out, v);
-}
-
 uint64_t ClampedSub(uint64_t cur, uint64_t prev) {
   return cur >= prev ? cur - prev : 0;
 }

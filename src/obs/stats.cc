@@ -203,15 +203,12 @@ void AppendJsonDouble(std::string* out, double v) {
   *out += buf;
 }
 
-namespace {
-
 void AppendNum(std::string* out, uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   *out += buf;
 }
 
-/// `"key":value` with a leading comma when not first in its object.
 void Field(std::string* out, bool* first, const char* key, uint64_t v) {
   if (!*first) out->push_back(',');
   *first = false;
@@ -220,9 +217,6 @@ void Field(std::string* out, bool* first, const char* key, uint64_t v) {
   AppendNum(out, v);
 }
 
-/// Ratio keys (`utilization`, `hit_rate`, `mean`, the pulse `rate` keys)
-/// all land here; the shared guard in AppendJsonDouble renders `null`
-/// for NaN/Inf so a division can never poison the JSON.
 void FieldDbl(std::string* out, bool* first, const char* key, double v) {
   if (!*first) out->push_back(',');
   *first = false;
@@ -230,6 +224,8 @@ void FieldDbl(std::string* out, bool* first, const char* key, double v) {
   out->push_back(':');
   AppendJsonDouble(out, v);
 }
+
+namespace {
 
 void AppendHistogram(std::string* out, const Histogram& h) {
   bool first = true;

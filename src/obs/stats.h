@@ -199,6 +199,18 @@ void AppendJsonString(std::string* out, const std::string& s);
 /// double the stats/pulse renderers emit goes through this.
 void AppendJsonDouble(std::string* out, double v);
 
+/// Appends `v` in decimal.
+void AppendNum(std::string* out, uint64_t v);
+
+/// Appends `"key":v` to a JSON object under construction, with a leading
+/// comma unless `*first` (which it then clears).
+void Field(std::string* out, bool* first, const char* key, uint64_t v);
+
+/// Field for ratio keys (`utilization`, `hit_rate`, `mean`, the pulse
+/// `rate` keys): AppendJsonDouble renders `null` for NaN/Inf, so a
+/// division can never poison the JSON.
+void FieldDbl(std::string* out, bool* first, const char* key, double v);
+
 }  // namespace nw
 
 #endif  // NW_OBS_STATS_H_

@@ -10,9 +10,9 @@
 
 namespace nw {
 
-uint64_t SharedBank::TupleHash(const StateId* tuple, size_t k) {
+uint64_t SharedBank::TupleHash(const StateId* tuple) const {
   uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < k; ++i) {
+  for (size_t i = 0; i < autos_.size(); ++i) {
     h ^= tuple[i];
     h *= 1099511628211ULL;
   }
@@ -37,22 +37,55 @@ SharedBank::SharedBank(std::vector<const Nwa*> autos)
   for (size_t i = 0; i < autos_.size(); ++i) {
     tuple_buf_[i] = autos_[i]->initial();
   }
-  initial_ = Intern(tuple_buf_.data(), autos_.size());
+  initial_ = Intern(tuple_buf_.data());
 }
 
-StateId SharedBank::Intern(const StateId* tuple, size_t k) {
-  const uint64_t hash = TupleHash(tuple, k);
-  const StateId found = tuple_index_.Find(hash, [&](uint32_t id) {
+SharedBank SharedBank::Freeze(const SharedBank& bank,
+                              CompileTimeline* timeline) {
+  Stopwatch sw;
+  SharedBank f(bank.autos_);
+  f.tuples_ = bank.tuples_;
+  f.tuple_index_ = bank.tuple_index_;
+  f.accept_ = bank.accept_;
+  f.live_ = bank.live_;
+  f.internal_ = bank.internal_;
+  f.call_lin_ = bank.call_lin_;
+  f.call_hier_ = bank.call_hier_;
+  f.return_rows_ = bank.return_rows_;
+  f.return_targets_ = bank.return_targets_;
+  f.num_returns_ = bank.num_returns_;
+  if (timeline != nullptr) {
+    // Freezing copies, never explores: the state count is flat.
+    timeline->Record("freeze", static_cast<uint64_t>(sw.ElapsedUs()),
+                     f.num_states(), f.num_states());
+  }
+  return f;
+}
+
+std::shared_ptr<const SharedBank> SharedBank::FreezeShared(
+    const SharedBank& bank, CompileTimeline* timeline) {
+  return std::make_shared<const SharedBank>(Freeze(bank, timeline));
+}
+
+StateId SharedBank::FindTuple(const StateId* tuple) const {
+  const size_t k = autos_.size();
+  const uint32_t q = tuple_index_.Find(TupleHash(tuple), [&](uint32_t id) {
     return std::equal(tuple, tuple + k, tuples_.begin() + size_t{id} * k);
   });
-  if (found != FlatIndex::kNone) return found;
+  return q == FlatIndex::kNone ? kNoState : q;
+}
+
+StateId SharedBank::Intern(const StateId* tuple) {
+  const StateId found = FindTuple(tuple);
+  if (found != kNoState) return found;
   NW_CHECK_MSG(live_.size() < kMaxStates,
                "shared bank product exploded past %u states; use the "
                "per-query SoA engine path for this bank",
                kMaxStates);
   StateId id = static_cast<StateId>(live_.size());
   if (stats_ != nullptr) stats_->bank_states.Inc();
-  tuple_index_.Insert(hash, id);
+  const size_t k = autos_.size();
+  tuple_index_.Insert(TupleHash(tuple), id);
   tuples_.insert(tuples_.end(), tuple, tuple + k);
   accept_.resize(accept_.size() + words_, 0);
   uint32_t live = 0;
@@ -77,7 +110,7 @@ StateId SharedBank::InternTuple(const std::vector<StateId>& tuple) {
     NW_CHECK_MSG(tuple[i] == kNoState || tuple[i] < autos_[i]->num_states(),
                  "tuple component %zu out of range", i);
   }
-  return Intern(tuple.data(), tuple.size());
+  return Intern(tuple.data());
 }
 
 bool SharedBank::ExploreAll(size_t max_states, CompileTimeline* timeline) {
@@ -216,7 +249,7 @@ StateId SharedBank::StepInternal(StateId q, Symbol a) {
     next[i] = autos_[i]->StepInternal(tuples_[q * k + i], a);
   }
   // Intern may grow internal_; recompute the slot instead of using `memo`.
-  StateId id = Intern(next, k);
+  StateId id = Intern(next);
   internal_[q * num_symbols_ + a] = id;
   return id;
 }
@@ -235,8 +268,8 @@ StateId SharedBank::StepCall(StateId q, Symbol a, StateId* hier_out) {
   for (size_t i = 0; i < k; ++i) {
     lin[i] = autos_[i]->StepCall(tuples_[q * k + i], a, &hier[i]);
   }
-  StateId lin_id = Intern(lin, k);
-  StateId hier_id = Intern(hier, k);
+  StateId lin_id = Intern(lin);
+  StateId hier_id = Intern(hier);
   call_lin_[q * num_symbols_ + a] = lin_id;
   call_hier_[q * num_symbols_ + a] = hier_id;
   *hier_out = hier_id;
@@ -252,7 +285,7 @@ StateId SharedBank::StepReturn(StateId q, StateId hier, Symbol a) {
 }
 
 StateId* SharedBank::ReturnRow(StateId q, StateId hier) {
-  const uint64_t key = PackReturnKey(q, hier, 0);
+  const uint64_t key = PackReturnKey(q, hier);
   uint32_t row = return_rows_.Find(key);
   if (row == FlatIndex::kNone) {
     row = static_cast<uint32_t>(return_targets_.size() / num_symbols_);
@@ -285,7 +318,7 @@ void SharedBank::FillReturns(StateId q, StateId hier, StateId* row,
     }
     StateId* next = tuple_buf_.data();
     for (size_t i = 0; i < k; ++i) next[i] = row_buf_[i][a];
-    row[a] = Intern(next, k);  // interning never touches the return rows
+    row[a] = Intern(next);  // interning never touches the return rows
     ++num_returns_;
   }
 }

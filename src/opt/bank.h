@@ -29,6 +29,7 @@
 #define NW_OPT_BANK_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "nwa/nwa.h"
@@ -80,8 +81,9 @@ class SharedBank {
   StateId StepReturn(StateId q, StateId hier, Symbol a);
 
   // -- Exploration + freeze API (serve/frozen_bank.h). The serving layer
-  // pre-explores the product, snapshots it into an immutable FrozenBank,
-  // and keeps per-shard SharedBanks as mutable overflow space. --
+  // pre-explores the product, snapshots it with Freeze into a bank that
+  // readers hold const, and keeps per-shard SharedBanks as mutable
+  // overflow space. --
 
   /// Memoizes every step some nested word can take from the initial
   /// state. The closure runs breadth-first over reachable contexts
@@ -100,6 +102,22 @@ class SharedBank {
   /// wall µs plus the product state count before and after.
   bool ExploreAll(size_t max_states, CompileTimeline* timeline = nullptr);
 
+  /// Snapshots `bank` as explored so far (train it on a corpus, or
+  /// ExploreAll for a snapshot no stream can miss): a new bank with copies
+  /// of its product tables, an empty component memo and no stats sink.
+  /// Held const, any number of threads may read it through the lookups
+  /// below while the live bank grows on. With a timeline (obs/prof.h)
+  /// the call records one "freeze" phase: the copy's wall µs.
+  static SharedBank Freeze(const SharedBank& bank,
+                           CompileTimeline* timeline = nullptr);
+
+  /// Epoch-handle spelling of Freeze for long-lived serving (NWDaemon):
+  /// the returned shared_ptr is the RCU unit — a publisher swaps it while
+  /// readers finish their stream over the old snapshot, and the old epoch
+  /// is reclaimed when its last holder drops the handle.
+  static std::shared_ptr<const SharedBank> FreezeShared(
+      const SharedBank& bank, CompileTimeline* timeline = nullptr);
+
   /// Interns an externally supplied component tuple (one StateId per
   /// query, kNoState = dead run) and returns its product id. Used by the
   /// overflow path to transplant a frozen state into a fresh bank.
@@ -114,34 +132,36 @@ class SharedBank {
     return tuples_.data() + q * autos_.size();
   }
 
-  // Non-mutating memo lookups, kNoState = that step was never taken.
-  // These are what FrozenBank::Freeze snapshots.
+  // -- Non-mutating lookups, kNoState = that step was never taken. A
+  // frozen snapshot serves streams through these; a covered step always
+  // returns a valid id. --
 
+  /// δi.
   StateId PeekInternal(StateId q, Symbol a) const {
     return internal_[q * num_symbols_ + a];
   }
+  /// Linear half of δc; a covered call always has both halves.
   StateId PeekCallLinear(StateId q, Symbol a) const {
     return call_lin_[q * num_symbols_ + a];
   }
+  /// Hierarchical half of δc (the frame tuple to push).
   StateId PeekCallHier(StateId q, Symbol a) const {
     return call_hier_[q * num_symbols_ + a];
   }
-
-  /// FNV-1a over a K-component span — the interning hash. Shared with
-  /// FrozenBank::FindTuple so snapshot lookups agree with interning.
-  static uint64_t TupleHash(const StateId* tuple, size_t k);
-
-  /// Packs a product return lookup (24-bit states, 16-bit symbol); a
-  /// pending frame (hier == kNoState) packs as the reserved all-ones
-  /// hier value. With a = 0 it keys the return row of context (q, hier),
-  /// in the live memo and in FrozenBank's copy of it alike.
-  static uint64_t PackReturnKey(StateId q, StateId hier, Symbol a) {
-    const uint64_t h = hier == kNoState ? kMaxStates : hier;
-    return (uint64_t{q} << 40) | (h << 16) | a;
+  /// δr; `hier` is a frame id or kNoState for a pending return. One index
+  /// probe for the row of (q, hier), then the symbol's cell.
+  StateId Return(StateId q, StateId hier, Symbol a) const {
+    const uint32_t row = return_rows_.Find(PackReturnKey(q, hier));
+    return row == FlatIndex::kNone ? kNoState
+                                   : return_targets_[row * num_symbols_ + a];
   }
+  /// Id of the state with exactly this K-component tuple, or kNoState
+  /// when it was never interned. The overflow path's way back into a
+  /// snapshot, and Intern's own probe.
+  StateId FindTuple(const StateId* tuple) const;
 
   /// One memoized return transition (hier == kNoState for the pending-
-  /// return row), unpacked for snapshotting.
+  /// return row).
   struct MemoReturn {
     StateId from;
     StateId hier;
@@ -175,11 +195,17 @@ class SharedBank {
   /// top value reserved for "pending" frames.
   static constexpr StateId kMaxStates = (1u << 24) - 1;
 
-  /// FrozenBank::Freeze copies the tables below as they are.
-  friend class FrozenBank;
+  /// FNV-1a over the K components of a tuple — the interning hash.
+  uint64_t TupleHash(const StateId* tuple) const;
+  /// Keys the return row of context (q, hier) (24-bit states); a pending
+  /// frame (hier == kNoState) packs as the reserved all-ones hier value.
+  static uint64_t PackReturnKey(StateId q, StateId hier) {
+    const uint64_t h = hier == kNoState ? kMaxStates : hier;
+    return (uint64_t{q} << 40) | (h << 16);
+  }
 
-  /// Interns the K-component tuple at `tuple` (`k` == num_queries()).
-  StateId Intern(const StateId* tuple, size_t k);
+  /// Interns the K-component tuple at `tuple`.
+  StateId Intern(const StateId* tuple);
   /// The |Σ|-wide product return row of context (q, hier), created empty
   /// (all kNoState) on first sight. Valid until the next row is created.
   StateId* ReturnRow(StateId q, StateId hier);
@@ -211,7 +237,7 @@ class SharedBank {
   std::vector<StateId> call_hier_;  // [q*|Σ|+a]
   // Return memo in rows: each (state, frame) pair a run has returned from
   // owns a |Σ|-wide row of return_targets_ (kNoState = not computed yet),
-  // row number return_rows_[PackReturnKey(q, hier, 0)].
+  // row number return_rows_[PackReturnKey(q, hier)].
   FlatIndex return_rows_;
   std::vector<StateId> return_targets_;
   size_t num_returns_ = 0;  ///< computed entries of return_targets_
@@ -230,12 +256,6 @@ class SharedBank {
   /// NWStats sink, or nullptr when observability is off (see set_stats).
   StatsSink* stats_ = nullptr;
 };
-
-/// Convenience spelling of the tentpole API: compiles the bank of
-/// already-lowered query automata into one shared product automaton.
-inline SharedBank CompileBank(std::vector<const Nwa*> autos) {
-  return SharedBank(std::move(autos));
-}
 
 }  // namespace nw
 

@@ -37,9 +37,9 @@ void QueryEngine::RecordDocStats(uint64_t latency_us, size_t doc_positions,
     stats_->engine_docs.Inc();
     stats_->engine_positions.Add(doc_positions);
     stats_->doc_latency_us.Record(latency_us);
-    if (frozen_ != nullptr) {
+    if (overflow_ != nullptr) {
       stats_->engine_docs_frozen.Inc();
-    } else if (bank_ != nullptr) {
+    } else if (product_ != nullptr) {
       stats_->engine_docs_bank.Inc();
     } else {
       stats_->engine_docs_soa.Inc();
@@ -57,34 +57,29 @@ void QueryEngine::RecordDocStats(uint64_t latency_us, size_t doc_positions,
 }
 
 size_t QueryEngine::num_queries() const {
-  if (frozen_ != nullptr) return frozen_->num_queries();
-  return bank_ != nullptr ? bank_->num_queries() : autos_.size();
+  return product_ != nullptr ? product_->num_queries() : autos_.size();
 }
 
 bool QueryEngine::Accepting(size_t id) const {
-  if (frozen_ != nullptr) {
-    if (OverflowBank::IsOverflowId(bank_state_)) {
-      return overflow_->accepting(bank_state_, id);
-    }
-    return frozen_->accepting(bank_state_, id);
+  if (product_ == nullptr) {
+    return state_[id] != kNoState && autos_[id]->is_final(state_[id]);
   }
-  if (bank_ != nullptr) return bank_->accepting(bank_state_, id);
-  return state_[id] != kNoState && autos_[id]->is_final(state_[id]);
+  if (OverflowBank::IsOverflowId(bank_state_)) {
+    return overflow_->accepting(bank_state_, id);
+  }
+  return product_->accepting(bank_state_, id);
 }
 
 bool QueryEngine::dead(size_t id) const {
-  if (frozen_ != nullptr) {
-    if (OverflowBank::IsOverflowId(bank_state_)) {
-      return overflow_->component(bank_state_, id) == kNoState;
-    }
-    return frozen_->component(bank_state_, id) == kNoState;
+  if (product_ == nullptr) return state_[id] == kNoState;
+  if (OverflowBank::IsOverflowId(bank_state_)) {
+    return overflow_->component(bank_state_, id) == kNoState;
   }
-  if (bank_ != nullptr) return bank_->component(bank_state_, id) == kNoState;
-  return state_[id] == kNoState;
+  return product_->component(bank_state_, id) == kNoState;
 }
 
 size_t QueryEngine::Add(const Nwa* a) {
-  NW_CHECK_MSG(bank_ == nullptr && frozen_ == nullptr,
+  NW_CHECK_MSG(product_ == nullptr,
                "Add(), AddBank(), and AddFrozen() are mutually exclusive: "
                "the engine steps K automata, one shared product, or one "
                "frozen snapshot");
@@ -100,33 +95,30 @@ size_t QueryEngine::Add(const Nwa* a) {
   return autos_.size() - 1;
 }
 
-void QueryEngine::AddBank(SharedBank* bank) {
-  NW_CHECK_MSG(autos_.empty() && bank_ == nullptr && frozen_ == nullptr,
-               "AddBank() needs a fresh engine: no Add()ed automata and "
-               "no previous bank or frozen snapshot");
-  NW_CHECK_MSG(bank->num_symbols() == num_symbols_,
+void QueryEngine::SetProduct(const SharedBank* product) {
+  NW_CHECK_MSG(autos_.empty() && product_ == nullptr,
+               "AddBank() and AddFrozen() need a fresh engine: no Add()ed "
+               "automata and no previous bank or frozen snapshot");
+  NW_CHECK_MSG(product->num_symbols() == num_symbols_,
                "shared bank symbol space mismatch");
   stack_.clear();
-  bank_ = bank;
-  bank_state_ = bank_->initial();
-  live_ = bank_->live(bank_state_);
+  product_ = product;
+  bank_state_ = product_->initial();
+  live_ = product_->live(bank_state_);
 }
 
-void QueryEngine::AddFrozen(const FrozenBank* frozen,
+void QueryEngine::AddBank(SharedBank* bank) {
+  SetProduct(bank);
+  memo_ = bank;
+}
+
+void QueryEngine::AddFrozen(const SharedBank* frozen,
                             OverflowBank* overflow) {
-  NW_CHECK_MSG(autos_.empty() && bank_ == nullptr && frozen_ == nullptr,
-               "AddFrozen() needs a fresh engine: no Add()ed automata and "
-               "no previous bank or frozen snapshot");
-  NW_CHECK_MSG(frozen->num_symbols() == num_symbols_,
-               "frozen bank symbol space mismatch");
   NW_CHECK_MSG(overflow != nullptr && overflow->frozen() == frozen,
                "the overflow bank must be built over the same frozen "
                "snapshot the engine steps");
-  stack_.clear();
-  frozen_ = frozen;
+  SetProduct(frozen);
   overflow_ = overflow;
-  bank_state_ = frozen_->initial();
-  live_ = frozen_->live(bank_state_);
 }
 
 void QueryEngine::set_other_symbol(Symbol s) {
@@ -138,12 +130,9 @@ void QueryEngine::set_other_symbol(Symbol s) {
 }
 
 void QueryEngine::BeginStream() {
-  if (frozen_ != nullptr) {
-    bank_state_ = frozen_->initial();
-    live_ = frozen_->live(bank_state_);
-  } else if (bank_ != nullptr) {
-    bank_state_ = bank_->initial();
-    live_ = bank_->live(bank_state_);
+  if (product_ != nullptr) {
+    bank_state_ = product_->initial();
+    live_ = product_->live(bank_state_);
   } else {
     live_ = 0;
     for (size_t i = 0; i < autos_.size(); ++i) {
@@ -157,10 +146,9 @@ void QueryEngine::BeginStream() {
   ++traversals_;
   if (track_matches_) {
     first_match_.assign(num_queries(), -1);
-    if (bank_ != nullptr) seen_accepts_.assign(bank_->accept_words(), 0);
-    if (frozen_ != nullptr) {
-      seen_accepts_.assign(frozen_->accept_words(), 0);
-      scratch_accepts_.assign(frozen_->accept_words(), 0);
+    if (product_ != nullptr) {
+      seen_accepts_.assign(product_->accept_words(), 0);
+      scratch_accepts_.assign(product_->accept_words(), 0);
     }
     LatchMatches();  // a query may accept the empty prefix (position 0)
   }
@@ -170,7 +158,7 @@ size_t QueryEngine::Feed(TaggedSymbol t) {
   ++positions_;
   ++stream_pos_;
   const size_t k = autos_.size();
-  if (bank_ == nullptr && frozen_ == nullptr && k == 0) return 0;
+  if (product_ == nullptr && k == 0) return 0;
   Symbol s = t.symbol;
   if (s >= num_symbols_) {
     NW_CHECK_MSG(other_ != Alphabet::kNoSymbol,
@@ -179,17 +167,17 @@ size_t QueryEngine::Feed(TaggedSymbol t) {
                  s);
     s = other_;
   }
-  if (frozen_ != nullptr) return FeedFrozen(t.kind, s);
-  if (bank_ != nullptr) {
+  if (overflow_ != nullptr) return FeedFrozen(t.kind, s);
+  if (memo_ != nullptr) {
     // Shared-bank path: ONE step and (per call) ONE pushed StateId for
     // the whole bank, regardless of K.
     switch (t.kind) {
       case Kind::kInternal:
-        bank_state_ = bank_->StepInternal(bank_state_, s);
+        bank_state_ = memo_->StepInternal(bank_state_, s);
         break;
       case Kind::kCall: {
         StateId h;
-        bank_state_ = bank_->StepCall(bank_state_, s, &h);
+        bank_state_ = memo_->StepCall(bank_state_, s, &h);
         stack_.push_back(h);
         if (stack_.size() > max_frames_) max_frames_ = stack_.size();
         break;
@@ -200,11 +188,11 @@ size_t QueryEngine::Feed(TaggedSymbol t) {
           h = stack_.back();
           stack_.pop_back();
         }
-        bank_state_ = bank_->StepReturn(bank_state_, h, s);
+        bank_state_ = memo_->StepReturn(bank_state_, h, s);
         break;
       }
     }
-    live_ = bank_->live(bank_state_);
+    live_ = memo_->live(bank_state_);
     if (track_matches_) LatchMatches();
     return live_;
   }
@@ -258,7 +246,7 @@ size_t QueryEngine::FeedFrozen(Kind kind, Symbol s) {
   const bool from_frozen = !OverflowBank::IsOverflowId(bank_state_);
   switch (kind) {
     case Kind::kInternal: {
-      StateId next = from_frozen ? frozen_->Internal(bank_state_, s)
+      StateId next = from_frozen ? product_->PeekInternal(bank_state_, s)
                                  : kNoState;
       if (next != kNoState) {
         stats_->frozen_hits.Inc();
@@ -272,8 +260,8 @@ size_t QueryEngine::FeedFrozen(Kind kind, Symbol s) {
     case Kind::kCall: {
       StateId lin = kNoState, h = kNoState;
       if (from_frozen) {
-        lin = frozen_->CallLinear(bank_state_, s);
-        h = frozen_->CallHier(bank_state_, s);
+        lin = product_->PeekCallLinear(bank_state_, s);
+        h = product_->PeekCallHier(bank_state_, s);
       }
       if (lin != kNoState) {
         stats_->frozen_hits.Inc();
@@ -294,7 +282,7 @@ size_t QueryEngine::FeedFrozen(Kind kind, Symbol s) {
       }
       StateId next = kNoState;
       if (from_frozen && (h == kNoState || !OverflowBank::IsOverflowId(h))) {
-        next = frozen_->Return(bank_state_, h, s);
+        next = product_->Return(bank_state_, h, s);
       }
       if (next != kNoState) {
         stats_->frozen_hits.Inc();
@@ -308,7 +296,7 @@ size_t QueryEngine::FeedFrozen(Kind kind, Symbol s) {
   }
   live_ = OverflowBank::IsOverflowId(bank_state_)
               ? overflow_->live(bank_state_)
-              : frozen_->live(bank_state_);
+              : product_->live(bank_state_);
   if (track_matches_) LatchMatches();
   return live_;
 }
@@ -337,19 +325,15 @@ void QueryEngine::LatchFromWords(const uint64_t* acc, size_t words) {
 }
 
 void QueryEngine::LatchMatches() {
-  if (frozen_ != nullptr) {
+  if (product_ != nullptr) {
     const uint64_t* acc;
     if (OverflowBank::IsOverflowId(bank_state_)) {
       overflow_->CopyAccepts(bank_state_, scratch_accepts_.data());
       acc = scratch_accepts_.data();
     } else {
-      acc = frozen_->accepts(bank_state_);
+      acc = product_->accepts(bank_state_);
     }
-    LatchFromWords(acc, frozen_->accept_words());
-    return;
-  }
-  if (bank_ != nullptr) {
-    LatchFromWords(bank_->accepts(bank_state_), bank_->accept_words());
+    LatchFromWords(acc, product_->accept_words());
     return;
   }
   for (size_t i = 0; i < autos_.size(); ++i) {
@@ -401,11 +385,6 @@ std::vector<bool> QueryEngine::RunStream(const std::string& text,
                    positions_ - before, results);
   }
   return results;
-}
-
-std::vector<bool> QueryEngine::RunAll(const std::string& xml_text,
-                                      Alphabet* alphabet) {
-  return RunStream<XmlTokenStream>(xml_text, alphabet);
 }
 
 std::vector<bool> QueryEngine::RunAll(const std::string& text,

@@ -13,13 +13,13 @@
 //    position the engine steps a single transition table and pushes a
 //    single StateId per call frame — per-position work and resident state
 //    become independent of K. Per-query acceptance reads the product
-//    state's accept bitset.
-//  * Frozen path (AddFrozen): the serving layer's immutable snapshot of a
-//    pre-explored shared bank (serve/frozen_bank.h). Steps covered by the
-//    snapshot are lock-free table reads safe under any number of threads
-//    (each with its own engine); a miss routes to the engine's mutex-
-//    guarded OverflowBank so coverage gaps degrade throughput, never
-//    correctness. hit/miss counters feed the serving stats.
+//    state's accept bitset. A frozen snapshot of a pre-explored bank
+//    (AddFrozen, serve/frozen_bank.h) takes the same path read-only:
+//    steps the snapshot covers are lock-free table reads safe under any
+//    number of threads (each with its own engine); a miss routes to the
+//    engine's mutex-guarded OverflowBank so coverage gaps degrade
+//    throughput, never correctness. hit/miss counters feed the serving
+//    stats.
 //
 // An optional match-position tap records, per query, the number of stream
 // positions consumed when the query was first observed accepting — the
@@ -38,12 +38,11 @@
 
 namespace nw {
 
-// The shared-bank product (opt/bank.h) and the serving layer's frozen
-// snapshot (serve/frozen_bank.h) live layers above; the engine only holds
+// The shared-bank product (opt/bank.h) and the serving layer's overflow
+// bank (serve/frozen_bank.h) live layers above; the engine only holds
 // pointers to them, so the base query layer's headers stay free of upward
 // includes.
 class SharedBank;
-class FrozenBank;
 class OverflowBank;
 
 class QueryEngine {
@@ -66,14 +65,15 @@ class QueryEngine {
   /// and at most one bank.
   void AddBank(SharedBank* bank);
 
-  /// Registers a frozen snapshot of a pre-explored shared bank plus the
-  /// overflow bank to route snapshot misses to (serve/frozen_bank.h).
-  /// `frozen` is immutable and may back any number of engines
-  /// concurrently; `overflow` must have been built over the same
-  /// `frozen`, is mutated while streaming, and should be private to this
-  /// engine's shard (its mutex makes sharing safe, merely slow). Both
-  /// must outlive the engine. Mutually exclusive with Add()/AddBank().
-  void AddFrozen(const FrozenBank* frozen, OverflowBank* overflow);
+  /// Registers a frozen snapshot of a pre-explored shared bank
+  /// (SharedBank::Freeze) plus the overflow bank to route snapshot misses
+  /// to (serve/frozen_bank.h). `frozen` is only read and may back any
+  /// number of engines concurrently; `overflow` must have been built over
+  /// the same `frozen`, is mutated while streaming, and should be private
+  /// to this engine's shard (its mutex makes sharing safe, merely slow).
+  /// Both must outlive the engine. Mutually exclusive with
+  /// Add()/AddBank().
+  void AddFrozen(const SharedBank* frozen, OverflowBank* overflow);
 
   /// Stream symbols >= num_symbols() (element names interned after the
   /// queries were compiled) are remapped to this in-range catch-all
@@ -134,17 +134,15 @@ class QueryEngine {
   /// query id's acceptance.
   std::vector<bool> RunAll(const NestedWord& n);
 
-  /// Streaming form: tokenizes `xml_text` position by position straight
+  /// Streaming form: tokenizes `text` position by position straight
   /// into the bank — no materialized NestedWord, so total memory really
   /// is the O(K·depth) run state. New element names intern into
   /// `*alphabet` (remapped via set_other_symbol when out of range).
-  std::vector<bool> RunAll(const std::string& xml_text, Alphabet* alphabet);
-
-  /// Same, selecting the front end by format (stream/token_stream.h).
-  /// Tokenization is the ONLY thing that varies: past the TokenStream
-  /// every format takes the identical SoA/bank/frozen stepping code.
+  /// `format` selects the front end (stream/token_stream.h); tokenization
+  /// is the ONLY thing that varies: past the TokenStream every format
+  /// takes the identical SoA/bank/frozen stepping code.
   std::vector<bool> RunAll(const std::string& text, Alphabet* alphabet,
-                           InputFormat format);
+                           InputFormat format = InputFormat::kXml);
 
   /// Frozen-path steps answered by the immutable snapshot (lock-free).
   /// Lives in the attached stats sink (the engine-internal one when none
@@ -171,17 +169,17 @@ class QueryEngine {
   /// the shared-bank path (one product state per frame), independent of
   /// stream length either way.
   size_t ResidentStates() const {
-    if (bank_ != nullptr || frozen_ != nullptr) return 1 + max_frames_;
+    if (product_ != nullptr) return 1 + max_frames_;
     return state_.size() + autos_.size() * max_frames_;
   }
 
  private:
   size_t AtLeastOne() const { return autos_.empty() ? 1 : autos_.size(); }
+  /// Registration shared by AddBank and AddFrozen.
+  void SetProduct(const SharedBank* product);
   /// StateIds per shared stack frame: K on the SoA path, 1 on the bank
   /// and frozen paths (a frame is one interned product tuple).
-  size_t FrameWidth() const {
-    return bank_ != nullptr || frozen_ != nullptr ? 1 : AtLeastOne();
-  }
+  size_t FrameWidth() const { return product_ != nullptr ? 1 : AtLeastOne(); }
   /// Records first-accept positions for queries newly observed accepting.
   void LatchMatches();
   /// NWStats/NWProf per-document record shared by the RunAll overloads:
@@ -205,8 +203,13 @@ class QueryEngine {
   size_t num_symbols_;
   Symbol other_ = Alphabet::kNoSymbol;
   std::vector<const Nwa*> autos_;
-  SharedBank* bank_ = nullptr;
-  const FrozenBank* frozen_ = nullptr;
+  /// The product automaton on the bank and frozen paths (null on the SoA
+  /// path): every per-state fact is read from it.
+  const SharedBank* product_ = nullptr;
+  /// AddBank: the same bank, writable — single-stream runs memoize into
+  /// it. Null on the frozen path.
+  SharedBank* memo_ = nullptr;
+  /// Frozen path: where steps the snapshot misses go. Null otherwise.
   OverflowBank* overflow_ = nullptr;
   /// Current product state on the shared-bank path; on the frozen path a
   /// mixed-space id (frozen, or overflow-tagged after a snapshot miss).

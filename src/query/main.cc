@@ -85,10 +85,10 @@
 #include "opt/pipeline.h"
 #include "query/engine.h"
 #include "query/nwquery.h"
-#include "serve/frozen_bank.h"
 #include "serve/sharded.h"
 #include "stream/token_stream.h"
 #include "stream/tree_gen.h"
+#include "support/parse_uint.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
 #include "xml/xml.h"
@@ -133,20 +133,6 @@ int Usage() {
                "[--pulse-file F] [--watch] "
                "[--quiet] <query-file> [xml-file ...]\n");
   return 2;
-}
-
-/// Strict decimal parse; rejects empty, non-digit, and overflowing input
-/// (std::stoul would throw — the CLI must not crash on a typo).
-bool ParseUint(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
-  uint64_t v = 0;
-  for (; *s; ++s) {
-    if (*s < '0' || *s > '9') return false;
-    if (v > (UINT64_MAX - 9) / 10) return false;
-    v = v * 10 + static_cast<uint64_t>(*s - '0');
-  }
-  *out = v;
-  return true;
 }
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
@@ -471,7 +457,7 @@ void RenderStats(const StatsRegistry& registry, const Options& opt) {
 }
 
 /// The --freeze/--threads path: pre-explore the shared bank, snapshot it
-/// into an immutable FrozenBank, and shard the whole corpus across worker
+/// with SharedBank::Freeze, and shard the whole corpus across worker
 /// threads. Output (match lines, per-document order) is byte-identical to
 /// the single-stream path at any thread count.
 int ServeFrozen(const Options& opt, OptimizedBank* bank, Alphabet* alphabet,
@@ -520,7 +506,7 @@ int ServeFrozen(const Options& opt, OptimizedBank* bank, Alphabet* alphabet,
                  "snapshot (misses fall back to the overflow banks)\n",
                  shared->num_states());
   }
-  FrozenBank frozen = FrozenBank::Freeze(*shared, timeline);
+  const SharedBank frozen = SharedBank::Freeze(*shared, timeline);
 
   // Materialize the corpus — same documents, same labels, same order as
   // the single-stream path.

@@ -5,51 +5,10 @@
 #include "obs/prof.h"
 #include "obs/stats.h"
 #include "support/check.h"
-#include "support/stopwatch.h"
 
 namespace nw {
 
-FrozenBank FrozenBank::Freeze(const SharedBank& bank,
-                              CompileTimeline* timeline) {
-  Stopwatch sw;
-  FrozenBank f;
-  f.autos_ = bank.autos();
-  f.num_symbols_ = bank.num_symbols();
-  f.num_states_ = bank.num_states();
-  f.words_ = bank.accept_words();
-  f.initial_ = bank.initial();
-  f.internal_ = bank.internal_;
-  f.call_lin_ = bank.call_lin_;
-  f.call_hier_ = bank.call_hier_;
-  f.return_rows_ = bank.return_rows_;
-  f.return_targets_ = bank.return_targets_;
-  f.tuples_ = bank.tuples_;
-  f.tuple_index_ = bank.tuple_index_;
-  f.accept_ = bank.accept_;
-  f.live_ = bank.live_;
-  if (timeline != nullptr) {
-    // Freezing copies, never explores: the state count is flat.
-    timeline->Record("freeze", static_cast<uint64_t>(sw.ElapsedUs()),
-                     f.num_states_, f.num_states_);
-  }
-  return f;
-}
-
-std::shared_ptr<const FrozenBank> FrozenBank::FreezeShared(
-    const SharedBank& bank, CompileTimeline* timeline) {
-  return std::make_shared<const FrozenBank>(Freeze(bank, timeline));
-}
-
-StateId FrozenBank::FindTuple(const StateId* tuple) const {
-  const size_t k = autos_.size();
-  const uint32_t q = tuple_index_.Find(
-      SharedBank::TupleHash(tuple, k), [&](uint32_t id) {
-        return std::equal(tuple, tuple + k, tuples_.begin() + size_t{id} * k);
-      });
-  return q == FlatIndex::kNone ? kNoState : q;
-}
-
-OverflowBank::OverflowBank(const FrozenBank* frozen)
+OverflowBank::OverflowBank(const SharedBank* frozen)
     : frozen_(frozen), local_(frozen->autos()) {}
 
 void OverflowBank::set_stats(StatsSink* sink) {

@@ -15,7 +15,7 @@
 
 namespace nw {
 
-ShardedEvaluator::ShardedEvaluator(const FrozenBank* frozen,
+ShardedEvaluator::ShardedEvaluator(const SharedBank* frozen,
                                    size_t num_symbols, Symbol other_symbol,
                                    size_t threads, InputFormat format)
     : frozen_(frozen),
@@ -28,7 +28,7 @@ ShardedEvaluator::ShardedEvaluator(const FrozenBank* frozen,
                "frozen bank symbol space mismatch");
 }
 
-void ShardedEvaluator::Rebind(std::shared_ptr<const FrozenBank> frozen,
+void ShardedEvaluator::Rebind(std::shared_ptr<const SharedBank> frozen,
                               size_t num_symbols) {
   NW_CHECK_MSG(frozen != nullptr, "Rebind() needs a live epoch snapshot");
   NW_CHECK_MSG(frozen->num_symbols() == num_symbols,
@@ -79,7 +79,7 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
   // its NWStats shard sink (single-writer by construction: shard indexes
   // are unique, so each sink has exactly one writing thread while the
   // registry's readers merge relaxed-atomic snapshots). Only the
-  // FrozenBank is shared, and it is read-only by construction.
+  // frozen snapshot is shared, and it is const.
   auto worker = [&](size_t shard) {
     StatsSink* sink = sinks_.empty() ? nullptr : sinks_[shard].get();
     Stopwatch wall;
@@ -211,39 +211,26 @@ std::vector<std::string> SplitWithStream(const std::string& text) {
 
 }  // namespace
 
-std::vector<std::string> SplitTopLevel(const std::string& xml) {
-  return SplitWithStream<XmlTokenStream>(xml);
-}
-
-std::vector<std::string> SplitTopLevel(const std::string& text,
-                                       InputFormat format) {
-  switch (format) {
-    case InputFormat::kXml:
-      return SplitWithStream<XmlTokenStream>(text);
-    case InputFormat::kJson:
-      return SplitWithStream<JsonTokenStream>(text);
-    case InputFormat::kTrace:
-      return SplitWithStream<TraceTokenStream>(text);
-  }
-  NW_CHECK_MSG(false, "unreachable: unknown input format");
-  return {};
-}
-
-std::vector<std::string> SplitTopLevel(const std::string& xml,
-                                       StatsSink* stats) {
-  return SplitTopLevel(xml, InputFormat::kXml, stats);
-}
-
 std::vector<std::string> SplitTopLevel(const std::string& text,
                                        InputFormat format, StatsSink* stats) {
-  NW_CHECK_MSG(stats != nullptr,
-               "the reporting SplitTopLevel overload needs a sink; call "
-               "the plain overload when stats are off");
-  std::vector<std::string> out = SplitTopLevel(text, format);
-  stats->split_chunks.Add(out.size());
-  for (const std::string& chunk : out) {
-    stats->split_max_chunk_bytes.SetMax(chunk.size());
-    stats->split_chunk_bytes.Record(chunk.size());
+  std::vector<std::string> out;
+  switch (format) {
+    case InputFormat::kXml:
+      out = SplitWithStream<XmlTokenStream>(text);
+      break;
+    case InputFormat::kJson:
+      out = SplitWithStream<JsonTokenStream>(text);
+      break;
+    case InputFormat::kTrace:
+      out = SplitWithStream<TraceTokenStream>(text);
+      break;
+  }
+  if (stats != nullptr) {
+    stats->split_chunks.Add(out.size());
+    for (const std::string& chunk : out) {
+      stats->split_max_chunk_bytes.SetMax(chunk.size());
+      stats->split_chunk_bytes.Record(chunk.size());
+    }
   }
   return out;
 }

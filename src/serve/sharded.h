@@ -1,13 +1,13 @@
 // Parallel sharded streaming evaluation (ROADMAP: parallel sharded
-// streams). One immutable FrozenBank backs N worker threads; each worker
-// owns a private QueryEngine (run state is per-stream), a private copy of
-// the alphabet (interning mutates it), and a private mutex-guarded
-// OverflowBank for snapshot misses. Documents are pulled off a shared
-// atomic cursor, so shards load-balance dynamically, and every result is
-// written to the document's own slot — the merged output is a pure
-// function of the corpus, independent of thread count and scheduling
-// (the differential tests in tests/serve_test.cc pin byte-identity
-// against the single-stream AddBank path at N ∈ {1, 2, 8}).
+// streams). One frozen snapshot, a const SharedBank, backs N worker
+// threads; each worker owns a private QueryEngine (run state is
+// per-stream), a private copy of the alphabet (interning mutates it), and
+// a private mutex-guarded OverflowBank for snapshot misses. Documents are
+// pulled off a shared atomic cursor, so shards load-balance dynamically,
+// and every result is written to the document's own slot — the merged
+// output is a pure function of the corpus, independent of thread count
+// and scheduling (the differential tests in tests/serve_test.cc pin
+// byte-identity against the single-stream AddBank path at N ∈ {1, 2, 8}).
 #ifndef NW_SERVE_SHARDED_H_
 #define NW_SERVE_SHARDED_H_
 
@@ -67,7 +67,7 @@ struct ServeStats {
 /// them before returning (no persistent pool — worker state is rebuilt
 /// per call).
 ///
-/// Invariants: the FrozenBank is never written after construction, so
+/// Invariants: the frozen snapshot is const, never written, so
 /// workers read it without synchronization; all mutable run state
 /// (engine, overflow bank, alphabet copy) is shard-private. The
 /// evaluator itself is NOT re-entrant — call EvaluateCorpus from one
@@ -81,7 +81,7 @@ class ShardedEvaluator {
   /// end each worker streams documents through (stream/token_stream.h) —
   /// the ONLY thing that varies by format; sharding, stepping, stats,
   /// and attribution are format-blind.
-  ShardedEvaluator(const FrozenBank* frozen, size_t num_symbols,
+  ShardedEvaluator(const SharedBank* frozen, size_t num_symbols,
                    Symbol other_symbol, size_t threads,
                    InputFormat format = InputFormat::kXml);
 
@@ -109,7 +109,7 @@ class ShardedEvaluator {
   /// must keep the same query count (tables are sized to K and the
   /// registry holds them by pointer) — attach with `with_attribution =
   /// false` when serving a bank that admits or retires queries online.
-  void Rebind(std::shared_ptr<const FrozenBank> frozen, size_t num_symbols);
+  void Rebind(std::shared_ptr<const SharedBank> frozen, size_t num_symbols);
 
   /// Selects the tokenizer front end for subsequent EvaluateCorpus calls
   /// (a daemon batch is one format; mixed traffic is dispatched as one
@@ -149,10 +149,10 @@ class ShardedEvaluator {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  const FrozenBank* frozen_;
+  const SharedBank* frozen_;
   /// Keeps a Rebind()-ed epoch's snapshot alive; null when the evaluator
-  /// serves a caller-owned FrozenBank (the one-shot CLI path).
-  std::shared_ptr<const FrozenBank> frozen_handle_;
+  /// serves a caller-owned snapshot (the one-shot CLI path).
+  std::shared_ptr<const SharedBank> frozen_handle_;
   size_t num_symbols_;
   Symbol other_;
   size_t threads_;
@@ -169,38 +169,27 @@ class ShardedEvaluator {
   Tracer* tracer_ = nullptr;
 };
 
-/// Splits an XML document at top-level element boundaries: each returned
-/// chunk is one complete top-level element (with any immediately
-/// preceding top-level text/stray markup). Concatenating the chunks
-/// yields the input. Intended for sharding one huge record-stream
-/// document (e.g. a <feed> of entries with the envelope stripped) as if
-/// each record were its own document — note the semantics change:
-/// queries then match per record, not across records (an `a then b`
-/// spanning two records no longer matches). Unclosed opens spill into
-/// the trailing chunk; a document with no top-level structure comes back
-/// as a single chunk.
-std::vector<std::string> SplitTopLevel(const std::string& xml);
-
-/// NWStats-reporting overload: additionally records the chunk count, the
-/// largest chunk, and the chunk-size distribution into `*stats` — the
-/// shard-skew early warning (one giant record caps parallel speedup).
-/// `stats` must not be null; the plain overload is the disabled path.
-std::vector<std::string> SplitTopLevel(const std::string& xml,
-                                       StatsSink* stats);
-
-/// Format-selecting overloads: identical cut rule (a return leaving the
-/// stream at depth 0 ends a chunk) driven by the chosen front end's
-/// tokenizer, so for JSON a top-level record array's elements become the
-/// chunks (the anonymous envelope streams silently — see json/json.h)
-/// and for traces each top-level frame does. Concatenating the chunks
-/// yields the input for every format; re-tokenizing a chunk that sliced
-/// a JSON envelope open can differ from the whole-document stream (the
-/// record that lost its envelope gains a `#obj`/`#arr` wrapper) — the
-/// same per-record semantics change the XML overload documents.
+/// Splits a document at top-level boundaries: each returned chunk is one
+/// complete top-level element (with any immediately preceding top-level
+/// text/stray markup), cut where a return leaves the stream at depth 0 as
+/// `format`'s tokenizer reads it. For JSON a top-level record array's
+/// elements become the chunks (the anonymous envelope streams silently —
+/// see json/json.h); for traces each top-level frame does. Concatenating
+/// the chunks yields the input. Intended for sharding one huge
+/// record-stream document (e.g. a <feed> of entries with the envelope
+/// stripped) as if each record were its own document — note the
+/// semantics change: queries then match per record, not across records
+/// (an `a then b` spanning two records no longer matches), and
+/// re-tokenizing a chunk that sliced a JSON envelope open can differ from
+/// the whole-document stream (the record that lost its envelope gains a
+/// `#obj`/`#arr` wrapper). Unclosed opens spill into the trailing chunk;
+/// a document with no top-level structure comes back as a single chunk.
+/// With a sink, also records the chunk count, the largest chunk, and the
+/// chunk-size distribution into `*stats` — the shard-skew early warning
+/// (one giant record caps parallel speedup).
 std::vector<std::string> SplitTopLevel(const std::string& text,
-                                       InputFormat format);
-std::vector<std::string> SplitTopLevel(const std::string& text,
-                                       InputFormat format, StatsSink* stats);
+                                       InputFormat format = InputFormat::kXml,
+                                       StatsSink* stats = nullptr);
 
 }  // namespace nw
 

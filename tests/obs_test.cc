@@ -369,7 +369,7 @@ TEST(QueryEngine, StatsOnAndOffAreByteIdentical) {
 TEST(SplitTopLevel, StatsOverloadRecordsChunkShape) {
   const std::string doc = "<a><b>x</b></a><c/>text<d></d>";
   StatsSink sink;
-  std::vector<std::string> with = SplitTopLevel(doc, &sink);
+  std::vector<std::string> with = SplitTopLevel(doc, InputFormat::kXml, &sink);
   EXPECT_EQ(with, SplitTopLevel(doc));  // differential: same chunks
   EXPECT_EQ(sink.split_chunks.value(), with.size());
   EXPECT_EQ(sink.split_chunk_bytes.count(), with.size());

@@ -456,7 +456,7 @@ TEST(OptBank, MatchesTheSoAPathExactly) {
   const std::vector<Nwa>& compiled = CompiledShapes(sigma);
   std::vector<const Nwa*> autos;
   for (const Nwa& a : compiled) autos.push_back(&a);
-  SharedBank shared = CompileBank(autos);
+  SharedBank shared(autos);
 
   QueryEngine soa(sigma.size());
   QueryEngine bank(sigma.size());
@@ -531,7 +531,7 @@ TEST(OptBank, LiveCountDropsAsComponentsDie) {
   dead.set_initial(dead.AddState(true));  // no transitions: dies on input
   Nwa alive = CompileQuery(ParseQuery("//a", &sigma).Take(), sigma.size());
   std::vector<const Nwa*> autos = {&dead, &alive};
-  SharedBank bank = CompileBank(autos);
+  SharedBank bank(autos);
   QueryEngine engine(sigma.size());
   engine.AddBank(&bank);
   engine.BeginStream();

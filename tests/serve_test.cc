@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -173,9 +174,9 @@ TEST(FrozenBank, SnapshotAnswersLikeTheLiveBank) {
       EXPECT_EQ(frozen.component(q, id), shared->component(q, id));
     }
     for (Symbol a = 0; a < frozen.num_symbols(); ++a) {
-      EXPECT_EQ(frozen.Internal(q, a), shared->PeekInternal(q, a));
-      EXPECT_EQ(frozen.CallLinear(q, a), shared->PeekCallLinear(q, a));
-      EXPECT_EQ(frozen.CallHier(q, a), shared->PeekCallHier(q, a));
+      EXPECT_EQ(frozen.PeekInternal(q, a), shared->PeekInternal(q, a));
+      EXPECT_EQ(frozen.PeekCallLinear(q, a), shared->PeekCallLinear(q, a));
+      EXPECT_EQ(frozen.PeekCallHier(q, a), shared->PeekCallHier(q, a));
     }
     EXPECT_EQ(frozen.FindTuple(frozen.tuple(q)), q);
   }
@@ -247,6 +248,61 @@ TEST(FrozenBank, TrainedSnapshotHasPartialRowsAndServesLikeACold) {
     EXPECT_GT(got_ev.stats().frozen_hits, 0u);
     EXPECT_GT(got_ev.stats().frozen_misses, 0u);
   }
+}
+
+// Everything a snapshot answers, read through its const lookups.
+struct SnapshotAnswers {
+  size_t num_states = 0;
+  std::vector<uint64_t> accepts;
+  std::vector<StateId> steps;  ///< internal, call-linear, call-hier cells
+  std::vector<StateId> returns;  ///< every (q, h ∈ {pending} ∪ states, a)
+  std::vector<StateId> found;  ///< FindTuple of each state's own tuple
+
+  explicit SnapshotAnswers(const SharedBank& b) : num_states(b.num_states()) {
+    const StateId n = static_cast<StateId>(b.num_states());
+    const Symbol sigma = static_cast<Symbol>(b.num_symbols());
+    for (StateId q = 0; q < n; ++q) {
+      accepts.insert(accepts.end(), b.accepts(q),
+                     b.accepts(q) + b.accept_words());
+      for (Symbol a = 0; a < sigma; ++a) {
+        steps.push_back(b.PeekInternal(q, a));
+        steps.push_back(b.PeekCallLinear(q, a));
+        steps.push_back(b.PeekCallHier(q, a));
+        returns.push_back(b.Return(q, kNoState, a));
+        for (StateId h = 0; h < n; ++h) returns.push_back(b.Return(q, h, a));
+      }
+      found.push_back(b.FindTuple(b.tuple(q)));
+    }
+  }
+  bool operator==(const SnapshotAnswers&) const = default;
+};
+
+// The daemon refreshes its live bank while shards serve the previous
+// epoch's snapshot, so a snapshot must own its tables: training and
+// exploring the live bank after the freeze must change no answer of it.
+TEST(FrozenBank, SnapshotIsIndependentOfTheLiveBank) {
+  Workload w(SmallQueryTexts());
+  SharedBank* live = w.bank.shared.get();
+  QueryEngine trainer(w.num_symbols);
+  trainer.set_other_symbol(w.other);
+  trainer.AddBank(live);
+  Alphabet alpha = w.alphabet;
+  trainer.RunAll(MakeCorpus(1, 17)[0], &alpha);
+  std::shared_ptr<const FrozenBank> frozen = FrozenBank::FreezeShared(*live);
+  const SnapshotAnswers at_freeze(*frozen);
+  EXPECT_EQ(at_freeze.found.size(), at_freeze.num_states);
+  for (size_t q = 0; q < at_freeze.found.size(); ++q) {
+    EXPECT_EQ(at_freeze.found[q], q);
+  }
+
+  for (const std::string& doc : MakeCorpus(12, 19)) {
+    trainer.RunAll(doc, &alpha);
+  }
+  ASSERT_TRUE(live->ExploreAll(1u << 20));
+  ASSERT_GT(live->num_states(), at_freeze.num_states);
+  // A tuple the live bank interned after the freeze stays unknown.
+  EXPECT_EQ(frozen->FindTuple(live->tuple(live->num_states() - 1)), kNoState);
+  EXPECT_TRUE(SnapshotAnswers(*frozen) == at_freeze);
 }
 
 std::string Render(const std::vector<TreeNode>& forest, InputFormat format) {
@@ -369,9 +425,9 @@ TEST(FrozenBank, ExplorationContinuesAfterPendingReturns) {
   const StateId t = frozen.Return(frozen.initial(), kNoState, 0);
   ASSERT_NE(t, kNoState);
   EXPECT_TRUE(frozen.accepting(t, 0));
-  EXPECT_NE(frozen.Internal(t, 0), kNoState);
-  EXPECT_NE(frozen.CallLinear(t, 0), kNoState);
-  EXPECT_NE(frozen.Return(t, frozen.CallHier(t, 0), 0), kNoState);
+  EXPECT_NE(frozen.PeekInternal(t, 0), kNoState);
+  EXPECT_NE(frozen.PeekCallLinear(t, 0), kNoState);
+  EXPECT_NE(frozen.Return(t, frozen.PeekCallHier(t, 0), 0), kNoState);
 }
 
 TEST(FrozenBank, OverflowMapsBackIntoFrozenSpace) {
@@ -387,11 +443,11 @@ TEST(FrozenBank, OverflowMapsBackIntoFrozenSpace) {
   for (Symbol a = 0; a < frozen.num_symbols(); ++a) {
     StateId via_overflow = overflow.StepInternal(q, a);
     EXPECT_FALSE(OverflowBank::IsOverflowId(via_overflow));
-    EXPECT_EQ(via_overflow, frozen.Internal(q, a));
+    EXPECT_EQ(via_overflow, frozen.PeekInternal(q, a));
     StateId h1, h2;
     StateId lin = overflow.StepCall(q, a, &h1);
-    EXPECT_EQ(lin, frozen.CallLinear(q, a));
-    h2 = frozen.CallHier(q, a);
+    EXPECT_EQ(lin, frozen.PeekCallLinear(q, a));
+    h2 = frozen.PeekCallHier(q, a);
     EXPECT_EQ(h1, h2);
     // The call just entered `lin` under frame `h2`: returning from there
     // is a step runs take, so the snapshot holds it.
