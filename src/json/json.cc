@@ -1,7 +1,5 @@
 #include "json/json.h"
 
-#include <cctype>
-
 #include "obs/stats.h"
 
 namespace nw {
@@ -68,10 +66,10 @@ bool JsonTokenStream::Next(TaggedSymbol* out) {
     }
     return true;
   }
-  const std::string& text = text_;
+  const std::string_view text = text_;
   while (pos_ < text.size()) {
     char c = text[pos_];
-    if (std::isspace(static_cast<unsigned char>(c)) || c == ',' || c == ':') {
+    if (byte_class::IsSpace(c) || c == ',' || c == ':') {
       // Separators carry no positions; a stray ':' outside a key is as
       // silent as the one the key scan consumes.
       ++pos_;
@@ -113,26 +111,19 @@ bool JsonTokenStream::Next(TaggedSymbol* out) {
     }
     if (c == '"') {
       // Scan the string; \" must not terminate it. Unterminated strings
-      // run to end of input (truncated documents stay analyzable).
+      // run to end of input (truncated documents stay analyzable). A key
+      // names its raw bytes, escapes undecoded.
       size_t j = pos_ + 1;
-      std::string contents;
       while (j < text.size() && text[j] != '"') {
-        if (text[j] == '\\' && j + 1 < text.size()) {
-          contents += text[j];
-          ++j;
-        }
-        contents += text[j];
-        ++j;
+        j += text[j] == '\\' && j + 1 < text.size() ? 2 : 1;
       }
+      std::string_view contents = text.substr(pos_ + 1, j - pos_ - 1);
       pos_ = j < text.size() ? j + 1 : text.size();
       // A string followed by ':' is a key (detected anywhere — leniency,
       // not grammar); it defers its tokens to the value it labels. A new
       // key displaces an unconsumed one (garbage like `"a":"b":1`).
       size_t k = pos_;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k]))) {
-        ++k;
-      }
+      while (k < text.size() && byte_class::IsSpace(text[k])) ++k;
       if (k < text.size() && text[k] == ':') {
         pos_ = k + 1;
         pending_key_ = alphabet_->Intern(contents);
@@ -143,7 +134,7 @@ bool JsonTokenStream::Next(TaggedSymbol* out) {
     // Bare token run: a number, true/false/null, or garbage — one scalar.
     size_t j = pos_;
     while (j < text.size() && !IsStructural(text[j]) &&
-           !std::isspace(static_cast<unsigned char>(text[j]))) {
+           !byte_class::IsSpace(text[j])) {
       ++j;
     }
     pos_ = j;

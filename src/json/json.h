@@ -27,6 +27,7 @@
 #define NW_JSON_JSON_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nw/nested_word.h"
@@ -73,7 +74,7 @@ class JsonTokenStream {
   /// (two tokens queued), a bare one a single #text internal.
   bool EmitScalar(TaggedSymbol* out);
 
-  const std::string& text_;
+  std::string_view text_;
   Alphabet* alphabet_;
   size_t pos_ = 0;
   Symbol text_sym_ = Alphabet::kNoSymbol;

@@ -6,8 +6,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
+
+#include "support/flat_index.h"
 
 namespace nw {
 
@@ -20,6 +22,12 @@ using Symbol = uint32_t;
 /// The paper's constructions are parameterized by |Σ|; most examples use
 /// Σ = {a, b}. Alphabets are value types and cheap to copy for the small
 /// sizes used throughout.
+///
+/// Lookups take a view of the name, so the tokenizers intern a tag
+/// straight out of the document text. The index (support/flat_index.h)
+/// is keyed by the name's bytes themselves when they fit, else by their
+/// hash (see Key), so a name already interned costs one probe and no
+/// allocation.
 class Alphabet {
  public:
   Alphabet() = default;
@@ -30,20 +38,18 @@ class Alphabet {
   }
 
   /// Returns the id for `name`, interning it if new.
-  Symbol Intern(const std::string& name) {
-    auto it = ids_.find(name);
-    if (it != ids_.end()) return it->second;
-    Symbol id = static_cast<Symbol>(names_.size());
-    names_.push_back(name);
-    ids_.emplace(name, id);
+  Symbol Intern(std::string_view name) {
+    const uint64_t key = Key(name);
+    Symbol id = Lookup(key, name);
+    if (id != kNoSymbol) return id;
+    id = static_cast<Symbol>(names_.size());
+    names_.emplace_back(name);
+    ids_.Insert(key, id);
     return id;
   }
 
   /// Returns the id for `name` or `kNoSymbol` when absent.
-  Symbol Find(const std::string& name) const {
-    auto it = ids_.find(name);
-    return it == ids_.end() ? kNoSymbol : it->second;
-  }
+  Symbol Find(std::string_view name) const { return Lookup(Key(name), name); }
 
   /// Name of symbol `s`; `s` must be interned.
   const std::string& Name(Symbol s) const { return names_.at(s); }
@@ -61,8 +67,35 @@ class Alphabet {
   static Alphabet Letters(int n);
 
  private:
+  /// Names of at most this many bytes are their own index key.
+  static constexpr size_t kPackedBytes = 7;
+
+  /// Index key of `name`. A short name packs its bytes under its length
+  /// in the top byte (0..7), so equal keys mean equal names; a longer one
+  /// takes an FNV-1a hash whose top byte is forced to 0xFF, so it never
+  /// meets a packed key and a candidate is confirmed against `names_`.
+  static uint64_t Key(std::string_view name) {
+    if (name.size() <= kPackedBytes) {
+      uint64_t key = 0;
+      for (char c : name) key = key << 8 | static_cast<unsigned char>(c);
+      return key | uint64_t{name.size()} << 56;
+    }
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : name) {
+      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+    return h | uint64_t{0xFF} << 56;
+  }
+  Symbol Lookup(uint64_t key, std::string_view name) const {
+    static_assert(FlatIndex::kNone == kNoSymbol);
+    const bool packed = name.size() <= kPackedBytes;
+    return ids_.Find(
+        key, [&](uint32_t id) { return packed || names_[id] == name; });
+  }
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, Symbol> ids_;
+  /// Key(name) → id.
+  FlatIndex ids_;
 };
 
 inline Alphabet Alphabet::Letters(int n) {

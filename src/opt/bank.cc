@@ -75,6 +75,11 @@ StateId SharedBank::FindTuple(const StateId* tuple) const {
   return q == FlatIndex::kNone ? kNoState : q;
 }
 
+void SharedBank::set_stats(StatsSink* sink) {
+  stats_ = sink;
+  if (sink != nullptr) sink->bank_states.Add(num_states());
+}
+
 StateId SharedBank::Intern(const StateId* tuple) {
   const StateId found = FindTuple(tuple);
   if (found != kNoState) return found;

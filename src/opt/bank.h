@@ -63,8 +63,11 @@ class SharedBank {
   /// bank and be single-writer — banks are already confined to one thread
   /// (they memoize while streaming), so the engine's own sink is the
   /// natural choice. Off (nullptr) by default: the disabled path is one
-  /// branch on a pointer constant for the stream.
-  void set_stats(StatsSink* sink) { stats_ = sink; }
+  /// branch on a pointer constant for the stream. The states interned
+  /// before the sink arrives (the constructor's initial tuple, at least)
+  /// are counted on attach, so a sink attached once tallies
+  /// num_states().
+  void set_stats(StatsSink* sink);
 
   // -- Stepping. Mirrors the Nwa single-position step API, but states are
   // product-tuple ids and the methods memoize (hence non-const). A dead

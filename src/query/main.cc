@@ -74,7 +74,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -307,15 +306,28 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
 }
 
 /// Reads a whole file; false (with a message) when it cannot be opened.
+/// A regular file is read with one sized fread straight into `*out`; a
+/// stream that cannot seek (a pipe) is read in chunks.
 bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream f(path);
-  if (!f) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
     std::fprintf(stderr, "nwquery: cannot open %s\n", path.c_str());
     return false;
   }
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  *out = buf.str();
+  out->clear();
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    const long size = std::ftell(f);
+    std::rewind(f);
+    if (size > 0) {
+      out->resize(static_cast<size_t>(size));
+      out->resize(std::fread(out->data(), 1, out->size(), f));
+    }
+  }
+  char chunk[1 << 16];
+  for (size_t got; (got = std::fread(chunk, 1, sizeof(chunk), f)) > 0;) {
+    out->append(chunk, got);
+  }
+  std::fclose(f);
   return true;
 }
 

@@ -2,15 +2,12 @@
 
 #include <cctype>
 
+#include "stream/token_stream.h"
 #include "support/check.h"
 
 namespace nw {
 
 namespace {
-
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-';
-}
 
 bool IsKeyword(const std::string& s) {
   return s == "and" || s == "or" || s == "not" || s == "then" ||
@@ -51,8 +48,8 @@ struct Lexer {
     } else if (c == '>' && pos + 1 < in.size() && in[pos + 1] == '=') {
       tok = ">=";
       pos += 2;
-    } else if (IsNameChar(c)) {
-      while (pos < in.size() && IsNameChar(in[pos])) tok += in[pos++];
+    } else if (byte_class::IsName(c)) {
+      while (pos < in.size() && byte_class::IsName(in[pos])) tok += in[pos++];
     } else {
       tok = std::string(1, c);  // unknown char: surfaced by the parser
       ++pos;
@@ -67,7 +64,7 @@ struct Lexer {
     return true;
   }
   bool IsName() const {
-    return !tok.empty() && IsNameChar(tok[0]) &&
+    return !tok.empty() && byte_class::IsName(tok[0]) &&
            !std::isdigit(static_cast<unsigned char>(tok[0])) &&
            !IsKeyword(tok);
   }

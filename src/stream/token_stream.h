@@ -8,6 +8,11 @@
 //   bool Next(TaggedSymbol* out);   // false at end of input
 //   size_t pos() const;            // bytes consumed by yielded tokens
 //
+// Every front end scans allocation-free: it walks a std::string_view of
+// the text, classifies bytes through the one byte_class table below (no
+// locale calls), and interns a name as a view of its bytes in the text,
+// which the Alphabet resolves without copying once the name is known.
+//
 // Consumers (QueryEngine::RunAll, SplitTopLevel) are templated over the
 // concept and select the instantiation from an InputFormat value, so the
 // engine, optimizer, bank/freeze, sharding, stats, and attribution layers
@@ -15,6 +20,7 @@
 #ifndef NW_STREAM_TOKEN_STREAM_H_
 #define NW_STREAM_TOKEN_STREAM_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -39,6 +45,38 @@ bool ParseInputFormat(const std::string& name, InputFormat* out);
 /// Canonical lowercase name — the `--format` spelling and the stats
 /// `stream.format` label.
 const char* InputFormatName(InputFormat format);
+
+/// Byte classes shared by the tokenizers: one 256-entry table instead of
+/// the locale-dependent `std::isspace`/`std::isalnum`. The table equals
+/// `isspace` and `isalnum` (plus '_' and '-') in the "C" locale, which
+/// xml_test pins byte by byte, so a byte ≥ 0x80 is neither space nor
+/// part of a name.
+namespace byte_class {
+inline constexpr uint8_t kSpace = 1;  ///< C-locale isspace
+inline constexpr uint8_t kName = 2;   ///< C-locale isalnum, '_', '-'
+
+inline constexpr std::array<uint8_t, 256> kTable = [] {
+  std::array<uint8_t, 256> t{};
+  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    t[c] = kSpace;
+  }
+  for (int c = 0; c < 256; ++c) {
+    if ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+        (c >= 'A' && c <= 'Z')) {
+      t[c] = kName;
+    }
+  }
+  t['_'] = t['-'] = kName;
+  return t;
+}();
+
+inline bool IsSpace(char c) {
+  return (kTable[static_cast<unsigned char>(c)] & kSpace) != 0;
+}
+inline bool IsName(char c) {
+  return (kTable[static_cast<unsigned char>(c)] & kName) != 0;
+}
+}  // namespace byte_class
 
 /// Tokenizer-stats tallies shared by every front end. Counts are PLAIN
 /// LOCAL COUNTERS — zero atomic traffic per token — flushed into the

@@ -1,7 +1,5 @@
 #include "trace/trace.h"
 
-#include <cctype>
-
 #include "obs/stats.h"
 #include "support/check.h"
 
@@ -14,20 +12,14 @@ bool TraceTokenStream::Next(TaggedSymbol* out) {
     if (tally_.enabled()) tally_.OnReturn();
     return true;
   }
-  const std::string& text = text_;
-  while (pos_ < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos_]))) {
-    ++pos_;
-  }
+  const std::string_view text = text_;
+  while (pos_ < text.size() && byte_class::IsSpace(text[pos_])) ++pos_;
   if (pos_ >= text.size()) {
     tally_.Flush(pos_);  // end of input: tallies become visible to the sink
     return false;
   }
   size_t start = pos_;
-  while (pos_ < text.size() &&
-         !std::isspace(static_cast<unsigned char>(text[pos_]))) {
-    ++pos_;
-  }
+  while (pos_ < text.size() && !byte_class::IsSpace(text[pos_])) ++pos_;
   size_t len = pos_ - start;
   bool call = text[start] == '<';
   bool ret = text[pos_ - 1] == '>';

@@ -18,6 +18,7 @@
 #define NW_TRACE_TRACE_H_
 
 #include <string>
+#include <string_view>
 
 #include "nw/nested_word.h"
 #include "nwa/nwa.h"
@@ -51,7 +52,7 @@ class TraceTokenStream {
   size_t pos() const { return pos_; }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
   Alphabet* alphabet_;
   size_t pos_ = 0;
   /// "#text" symbol for degenerate tokens, interned lazily.

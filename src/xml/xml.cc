@@ -1,6 +1,6 @@
 #include "xml/xml.h"
 
-#include <cctype>
+#include <cstring>
 
 #include "obs/stats.h"
 #include "support/check.h"
@@ -20,33 +20,37 @@ bool XmlTokenStream::Next(TaggedSymbol* out) {
     if (tally_.enabled()) tally_.OnReturn();
     return true;
   }
-  const std::string& text = text_;
+  const std::string_view text = text_;
+  const size_t n = text.size();
+  // Offset of the first `c` at or after `from`, or n when there is none.
+  // Most tags end right after their name, so test that byte before
+  // paying for the memchr call.
+  auto find = [&](char c, size_t from) -> size_t {
+    if (from < n && text[from] == c) return from;
+    const void* hit = std::memchr(text.data() + from, c, n - from);
+    return hit == nullptr ? n : static_cast<const char*>(hit) - text.data();
+  };
   auto read_name = [&](size_t* pos) {
     size_t start = *pos;
-    while (*pos < text.size() &&
-           (std::isalnum(static_cast<unsigned char>(text[*pos])) ||
-            text[*pos] == '_' || text[*pos] == '-')) {
-      ++*pos;
-    }
+    while (*pos < n && byte_class::IsName(text[*pos])) ++*pos;
     return text.substr(start, *pos - start);
   };
-  while (pos_ < text.size()) {
+  while (pos_ < n) {
     if (text[pos_] == '<') {
       // Comments, doctype declarations, and processing instructions are
       // not elements: skip them wholesale so a '/' or '>' inside (URLs,
       // "a > b") cannot fabricate calls or returns.
-      if (pos_ + 1 < text.size() &&
-          (text[pos_ + 1] == '!' || text[pos_ + 1] == '?')) {
-        if (text.compare(pos_, 4, "<!--") == 0) {
+      if (pos_ + 1 < n && (text[pos_ + 1] == '!' || text[pos_ + 1] == '?')) {
+        if (text.substr(pos_, 4) == "<!--") {
           size_t end = text.find("-->", pos_ + 4);
-          pos_ = end == std::string::npos ? text.size() : end + 3;
-        } else if (text.compare(pos_, 9, "<![CDATA[") == 0) {
+          pos_ = end == std::string_view::npos ? n : end + 3;
+        } else if (text.substr(pos_, 9) == "<![CDATA[") {
           // CDATA is character data (SAX semantics): a non-empty body is
           // a text chunk, never markup.
           size_t body = pos_ + 9;
           size_t end = text.find("]]>", body);
-          size_t body_end = end == std::string::npos ? text.size() : end;
-          pos_ = end == std::string::npos ? text.size() : end + 3;
+          size_t body_end = end == std::string_view::npos ? n : end;
+          pos_ = end == std::string_view::npos ? n : end + 3;
           if (body_end > body) {
             if (text_sym_ == Alphabet::kNoSymbol) {
               text_sym_ = alphabet_->Intern("#text");
@@ -61,51 +65,44 @@ bool XmlTokenStream::Next(TaggedSymbol* out) {
           // brackets terminates the construct.
           size_t j = pos_ + 2;
           int brackets = 0;
-          while (j < text.size() &&
-                 (text[j] != '>' || brackets > 0)) {
+          while (j < n && (text[j] != '>' || brackets > 0)) {
             brackets += text[j] == '[';
             brackets -= text[j] == ']';
             ++j;
           }
-          pos_ = j < text.size() ? j + 1 : text.size();
+          pos_ = j < n ? j + 1 : n;
         }
         continue;
       }
-      if (pos_ + 1 < text.size() && text[pos_ + 1] == '/') {
+      if (pos_ + 1 < n && text[pos_ + 1] == '/') {
         size_t j = pos_ + 2;
-        std::string name = read_name(&j);
-        while (j < text.size() && text[j] != '>') ++j;
-        if (j < text.size()) ++j;
-        pos_ = j;
+        std::string_view name = read_name(&j);
+        j = find('>', j);
+        pos_ = j < n ? j + 1 : n;
         if (tally_.enabled()) tally_.OnReturn();
         *out = Return(alphabet_->Intern(name));
         return true;
       }
       size_t j = pos_ + 1;
-      std::string name = read_name(&j);
-      // Self-closing only when the '/' immediately precedes '>' — a '/'
-      // inside an attribute value (<a href="x/y">) does not count.
-      bool self_closing = false;
-      while (j < text.size() && text[j] != '>') {
-        self_closing = text[j] == '/';
-        ++j;
-      }
-      if (j < text.size()) ++j;
-      pos_ = j;
+      std::string_view name = read_name(&j);
+      // Self-closing only when the '/' immediately precedes '>' (or the
+      // end of an unterminated tag) — a '/' inside an attribute value
+      // (<a href="x/y">) does not count.
+      size_t gt = find('>', j);
+      bool self_closing = gt > j && text[gt - 1] == '/';
+      pos_ = gt < n ? gt + 1 : n;
       Symbol s = alphabet_->Intern(name);
       if (self_closing) queued_return_ = s;
       if (tally_.enabled()) tally_.OnCall();
       *out = Call(s);
       return true;
     }
+    // A text chunk runs to the next '<'; it is a position only when some
+    // byte in it is not whitespace.
     size_t j = pos_;
-    bool nonspace = false;
-    while (j < text.size() && text[j] != '<') {
-      nonspace =
-          nonspace || !std::isspace(static_cast<unsigned char>(text[j]));
-      ++j;
-    }
-    pos_ = j;
+    while (j < n && byte_class::IsSpace(text[j])) ++j;
+    bool nonspace = j < n && text[j] != '<';
+    pos_ = find('<', j);
     if (nonspace) {
       if (text_sym_ == Alphabet::kNoSymbol) {
         text_sym_ = alphabet_->Intern("#text");

@@ -10,6 +10,7 @@
 #define NW_XML_XML_H_
 
 #include <string>
+#include <string_view>
 
 #include "nw/nested_word.h"
 #include "nwa/nwa.h"
@@ -59,7 +60,7 @@ class XmlTokenStream {
   size_t pos() const { return pos_; }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
   Alphabet* alphabet_;
   size_t pos_ = 0;
   /// "#text" symbol, interned on first use (lazy) and cached.

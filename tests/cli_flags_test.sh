@@ -65,6 +65,40 @@ expect_accept nwquery_stats_ok \
 expect_accept nwquery_stats_prom_ok \
   "$NWQUERY" --stats=prom "$tmpdir/q.txt" "$tmpdir/d.xml"
 
+# nwquery document reads: a missing file is reported and exits 1; an
+# empty file is an empty document (accepted at position 0 by `not //b`);
+# a pipe, which cannot seek, reads the same bytes as the file.
+expect_reject nwquery_missing_doc "cannot open $tmpdir/missing.xml" \
+  "$NWQUERY" "$tmpdir/q.txt" "$tmpdir/missing.xml"
+"$NWQUERY" "$tmpdir/q.txt" "$tmpdir/missing.xml" >/dev/null 2>&1
+if [ $? -eq 1 ]; then
+  echo "ok   nwquery_missing_doc_exit_1"
+else
+  echo "FAIL nwquery_missing_doc_exit_1: exit code is not 1"
+  fails=$((fails + 1))
+fi
+printf '//b\nnot //b\n' > "$tmpdir/q2.txt"
+: > "$tmpdir/empty.xml"
+printf '%s\tno-match\tquery[0]\t//b\n%s\tMATCH@0\tquery[1]\tnot //b\n' \
+  "$tmpdir/empty.xml" "$tmpdir/empty.xml" > "$tmpdir/empty.want"
+if "$NWQUERY" "$tmpdir/q2.txt" "$tmpdir/empty.xml" > "$tmpdir/empty.got" &&
+   cmp -s "$tmpdir/empty.want" "$tmpdir/empty.got"; then
+  echo "ok   nwquery_empty_doc"
+else
+  echo "FAIL nwquery_empty_doc: an empty file is not an empty document"
+  fails=$((fails + 1))
+fi
+"$NWQUERY" "$tmpdir/q2.txt" "$tmpdir/d.xml" | cut -f2- > "$tmpdir/file.got"
+cat "$tmpdir/d.xml" | "$NWQUERY" "$tmpdir/q2.txt" /dev/stdin | cut -f2- \
+  > "$tmpdir/pipe.got"
+if [ -s "$tmpdir/file.got" ] && cmp -s "$tmpdir/file.got" "$tmpdir/pipe.got"
+then
+  echo "ok   nwquery_piped_doc"
+else
+  echo "FAIL nwquery_piped_doc: a piped document answers differently"
+  fails=$((fails + 1))
+fi
+
 # nwqueryd: same discipline (flag parsing precedes any socket work, so
 # no daemon is actually started by the reject cases).
 expect_reject nwqueryd_format_typo "want xml, json, or trace" \

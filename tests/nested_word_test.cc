@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "nw/alphabet.h"
 #include "nw/generate.h"
 #include "nw/text.h"
 #include "support/rng.h"
@@ -184,6 +190,104 @@ TEST(NestedWord, RootedImpliesWellMatched) {
     NestedWord n = RandomNestedWord(&rng, 2, 24);
     if (n.IsRooted()) EXPECT_TRUE(n.IsWellMatched());
   }
+}
+
+// -- Alphabet --------------------------------------------------------------
+// The tokenizers intern names as views into the document, so lookups must
+// read exactly the view's bytes: no terminator, no byte past the end.
+
+TEST(Alphabet, InternsAndFindsViewsIntoAnUnterminatedBuffer) {
+  // No NUL anywhere: every name is a slice of a larger buffer.
+  const std::array<char, 12> buf = {'i', 't', 'e', 'm', 's', 'a',
+                                    'b', 'c', 'd', 'e', 'f', 'g'};
+  const std::string_view all(buf.data(), buf.size());
+  Alphabet sigma;
+  const Symbol item = sigma.Intern(all.substr(0, 4));
+  const Symbol items = sigma.Intern(all.substr(0, 5));
+  const Symbol it = sigma.Intern(all.substr(0, 2));
+  // Seven bytes and more straddle the packed and hashed keys.
+  const Symbol seven = sigma.Intern(all.substr(5, 7));
+  const Symbol eight = sigma.Intern(all.substr(4, 8));
+  const Symbol whole = sigma.Intern(all);
+  EXPECT_EQ(sigma.size(), 6u);
+  EXPECT_EQ(sigma.Name(item), "item");
+  EXPECT_EQ(sigma.Name(items), "items");
+  EXPECT_EQ(sigma.Name(it), "it");
+  EXPECT_EQ(sigma.Name(seven), "abcdefg");
+  EXPECT_EQ(sigma.Name(eight), "sabcdefg");
+  EXPECT_EQ(sigma.Name(whole), "itemsabcdefg");
+  // The same bytes from elsewhere (an owning string) resolve the same.
+  EXPECT_EQ(sigma.Find(std::string("item")), item);
+  EXPECT_EQ(sigma.Find("itemsabcdefg"), whole);
+  EXPECT_EQ(sigma.Intern(all.substr(5, 7)), seven);
+  EXPECT_EQ(sigma.Find(all.substr(0, 3)), Alphabet::kNoSymbol);  // "ite"
+  EXPECT_EQ(sigma.Find(all.substr(5, 6)), Alphabet::kNoSymbol);  // "abcdef"
+  EXPECT_EQ(sigma.Find(all.substr(0, 11)), Alphabet::kNoSymbol);
+  EXPECT_EQ(sigma.size(), 6u);
+}
+
+TEST(Alphabet, NamesWithNulBytesAndTheEmptyNameAreDistinct) {
+  Alphabet sigma;
+  const Symbol a = sigma.Intern("a");
+  const Symbol a_nul = sigma.Intern(std::string_view("a\0", 2));
+  const Symbol nul_a = sigma.Intern(std::string_view("\0a", 2));
+  const Symbol empty = sigma.Intern("");
+  EXPECT_EQ(sigma.size(), 4u);
+  EXPECT_NE(a, a_nul);
+  EXPECT_NE(a_nul, nul_a);
+  EXPECT_EQ(sigma.Name(a_nul), std::string("a\0", 2));
+  EXPECT_EQ(sigma.Name(empty), "");
+  EXPECT_EQ(sigma.Find(""), empty);
+  EXPECT_EQ(sigma.Find(std::string_view("\0a", 2)), nul_a);
+}
+
+TEST(Alphabet, IdsAreDenseInInterningOrder) {
+  Alphabet sigma;
+  std::vector<std::string> names;
+  for (int i = 0; i < 1000; ++i) {
+    // Short names take the packed key, long ones the hashed key.
+    names.push_back(i % 3 == 0 ? "element-name-" + std::to_string(i)
+                               : "n" + std::to_string(i));
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(sigma.Intern(names[i]), i);
+    EXPECT_EQ(sigma.size(), i + 1);
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(sigma.Intern(names[i]), i);  // a hit adds nothing
+    EXPECT_EQ(sigma.Find(names[i]), i);
+    EXPECT_EQ(sigma.Name(static_cast<Symbol>(i)), names[i]);
+  }
+  EXPECT_EQ(sigma.size(), names.size());
+  EXPECT_EQ(Alphabet({"b", "a", "b"}).Find("a"), 1u);
+}
+
+TEST(Alphabet, AbsentNamesReturnNoSymbol) {
+  Alphabet empty;
+  EXPECT_EQ(empty.Find("a"), Alphabet::kNoSymbol);
+  EXPECT_EQ(empty.Find(""), Alphabet::kNoSymbol);
+  Alphabet sigma = Alphabet::Ab();
+  EXPECT_EQ(sigma.Find("c"), Alphabet::kNoSymbol);
+  EXPECT_EQ(sigma.Find("ab"), Alphabet::kNoSymbol);
+  EXPECT_EQ(sigma.Find(""), Alphabet::kNoSymbol);
+  EXPECT_EQ(sigma.Find("a-much-longer-name"), Alphabet::kNoSymbol);
+  EXPECT_EQ(sigma.size(), 2u);  // Find never interns
+}
+
+TEST(Alphabet, ACopyInternsIndependentlyOfItsSource) {
+  // ShardedEvaluator gives every worker its own copy of the alphabet.
+  Alphabet source = Alphabet::Ab();
+  Alphabet copy = source;
+  const Symbol in_copy = copy.Intern("only-in-the-copy");
+  const Symbol in_source = source.Intern("c");
+  EXPECT_EQ(in_copy, 2u);
+  EXPECT_EQ(in_source, 2u);
+  EXPECT_EQ(source.Find("only-in-the-copy"), Alphabet::kNoSymbol);
+  EXPECT_EQ(copy.Find("c"), Alphabet::kNoSymbol);
+  EXPECT_EQ(source.Name(2), "c");
+  EXPECT_EQ(copy.Name(2), "only-in-the-copy");
+  EXPECT_EQ(copy.Find("a"), source.Find("a"));
+  EXPECT_EQ(copy.Find("b"), source.Find("b"));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <functional>
 
+#include "obs/stats.h"
 #include "opt/bank.h"
 #include "opt/minimize.h"
 #include "opt/rewrite.h"
@@ -540,6 +541,24 @@ TEST(OptBank, LiveCountDropsAsComponentsDie) {
   EXPECT_FALSE(engine.dead(1));
   EXPECT_TRUE(engine.Accepting(1));
   EXPECT_FALSE(engine.Accepting(0));
+}
+
+// The `states_interned` stat counts every product state, the initial
+// tuple the constructor interns before any sink can be attached included.
+TEST(OptBank, StatesInternedStatEqualsTheStateCount) {
+  Alphabet sigma;
+  sigma.Intern("a");
+  sigma.Intern("b");
+  Nwa first = CompileQuery(ParseQuery("//a", &sigma).Take(), sigma.size());
+  Nwa second = CompileQuery(ParseQuery("a then b", &sigma).Take(),
+                            sigma.size());
+  SharedBank bank({&first, &second});
+  StatsSink sink;
+  bank.set_stats(&sink);
+  EXPECT_EQ(sink.bank_states.value(), bank.num_states());
+  ASSERT_TRUE(bank.ExploreAll(1024));
+  ASSERT_GT(bank.num_states(), 1u);
+  EXPECT_EQ(sink.bank_states.value(), bank.num_states());
 }
 
 // The bank's component return rows answer every product return exactly
