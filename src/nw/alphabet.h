@@ -25,9 +25,8 @@ using Symbol = uint32_t;
 ///
 /// Lookups take a view of the name, so the tokenizers intern a tag
 /// straight out of the document text. The index (support/flat_index.h)
-/// is keyed by the name's bytes themselves when they fit, else by their
-/// hash (see Key), so a name already interned costs one probe and no
-/// allocation.
+/// is keyed by a hash of the name's bytes (see Key), so a name already
+/// interned costs one probe, one compare and no allocation.
 class Alphabet {
  public:
   Alphabet() = default;
@@ -67,30 +66,18 @@ class Alphabet {
   static Alphabet Letters(int n);
 
  private:
-  /// Names of at most this many bytes are their own index key.
-  static constexpr size_t kPackedBytes = 7;
-
-  /// Index key of `name`. A short name packs its bytes under its length
-  /// in the top byte (0..7), so equal keys mean equal names; a longer one
-  /// takes an FNV-1a hash whose top byte is forced to 0xFF, so it never
-  /// meets a packed key and a candidate is confirmed against `names_`.
+  /// Index key of `name`: FNV-1a over its bytes. Distinct names may
+  /// share a key, so Lookup confirms a candidate against `names_`.
   static uint64_t Key(std::string_view name) {
-    if (name.size() <= kPackedBytes) {
-      uint64_t key = 0;
-      for (char c : name) key = key << 8 | static_cast<unsigned char>(c);
-      return key | uint64_t{name.size()} << 56;
-    }
     uint64_t h = 0xcbf29ce484222325ULL;
     for (char c : name) {
       h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
     }
-    return h | uint64_t{0xFF} << 56;
+    return h;
   }
   Symbol Lookup(uint64_t key, std::string_view name) const {
     static_assert(FlatIndex::kNone == kNoSymbol);
-    const bool packed = name.size() <= kPackedBytes;
-    return ids_.Find(
-        key, [&](uint32_t id) { return packed || names_[id] == name; });
+    return ids_.Find(key, [&](uint32_t id) { return names_[id] == name; });
   }
 
   std::vector<std::string> names_;

@@ -23,10 +23,7 @@ bool XmlTokenStream::Next(TaggedSymbol* out) {
   const std::string_view text = text_;
   const size_t n = text.size();
   // Offset of the first `c` at or after `from`, or n when there is none.
-  // Most tags end right after their name, so test that byte before
-  // paying for the memchr call.
   auto find = [&](char c, size_t from) -> size_t {
-    if (from < n && text[from] == c) return from;
     const void* hit = std::memchr(text.data() + from, c, n - from);
     return hit == nullptr ? n : static_cast<const char*>(hit) - text.data();
   };

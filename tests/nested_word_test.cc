@@ -205,7 +205,7 @@ TEST(Alphabet, InternsAndFindsViewsIntoAnUnterminatedBuffer) {
   const Symbol item = sigma.Intern(all.substr(0, 4));
   const Symbol items = sigma.Intern(all.substr(0, 5));
   const Symbol it = sigma.Intern(all.substr(0, 2));
-  // Seven bytes and more straddle the packed and hashed keys.
+  // Names that are suffixes and prefixes of each other stay apart.
   const Symbol seven = sigma.Intern(all.substr(5, 7));
   const Symbol eight = sigma.Intern(all.substr(4, 8));
   const Symbol whole = sigma.Intern(all);
