@@ -4,9 +4,9 @@
 //
 //   * lifecycle — one ADMIT against a standing K-query bank: the cold
 //     epoch serves immediately (hit rate 0 — every step takes the
-//     overflow path, correct but slow), the refresh replays the recent
-//     traffic reservoir and re-explores, and the refreshed epoch serves
-//     the same corpus at hit rate 1.0. The cold/refreshed hit rates are
+//     overflow path, correct but slow), the refresh explores a complete
+//     partition, and the refreshed epoch serves the same corpus at hit
+//     rate 1.0. The cold/refreshed hit rates are
 //     structural (bench_diff fails on drift); the phase walls are
 //     timing.
 //   * dispatch overhead — the same corpus through the daemon's
@@ -14,8 +14,7 @@
 //     the same snapshot: the price of the resident front door.
 //
 // Acceptance bar (full runs): refreshed hit rate is exactly 1.0 — the
-// replay reservoir covers the corpus, so the refresh must promote every
-// tuple traffic needs.
+// refreshed partition is complete, so no step can miss.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -93,8 +92,8 @@ HitDelta FrozenDelta(const StatsSnapshot& a, const StatsSnapshot& b) {
 
 /// Streams the corpus while the background refresher races: per-document
 /// snapshot deltas are attributed to `cold` only when that document was
-/// served by a still-unrefreshed epoch (the replay trainer writes no
-/// frozen counters, so the delta is the document's own steps). Returns
+/// served by a still-unrefreshed epoch (the refresher writes no frozen
+/// counters, so the delta is the document's own steps). Returns
 /// how many documents landed cold — the refresher usually publishes
 /// mid-corpus, and the whole point is to measure only the overflow-path
 /// documents.
@@ -119,13 +118,12 @@ size_t ColdPass(DaemonCore* core, const std::vector<std::string>& corpus,
 
 void LifecycleTable(const BenchConfig& cfg, BenchReport* report) {
   const size_t kQueries = 8;
-  const size_t kDocs = cfg.quick ? 16 : 32;  // <= replay_capacity
+  const size_t kDocs = cfg.quick ? 16 : 32;
   const size_t kPositions = cfg.quick ? 1u << 10 : 1u << 12;
   const size_t kThreads = 4;
 
   DaemonOptions options;
   options.threads = kThreads;
-  options.refresh_cap = cfg.quick ? 512 : 4096;
   Stopwatch startup_sw;
   DaemonCore core(BankQueries(kQueries), options);
   NW_CHECK(core.ok());
@@ -213,14 +211,13 @@ void OverheadTable(const BenchConfig& cfg, BenchReport* report) {
 
   DaemonOptions options;
   options.threads = kThreads;
-  options.refresh_cap = cfg.quick ? 512 : 4096;
   DaemonCore core(BankQueries(kQueries), options);
   NW_CHECK(core.ok());
   core.Start();
   std::vector<std::string> corpus = MakeCorpus(kDocs, kPositions);
 
-  // Warm the snapshot with the corpus, then refresh so both paths serve
-  // a fully-covering snapshot and measure dispatch, not overflow.
+  // Refresh so both paths serve a complete partition and measure
+  // dispatch, not overflow.
   SubmitCorpus(&core, corpus);
   core.AwaitRefresh();
 
@@ -259,7 +256,6 @@ void BM_DaemonSubmit(benchmark::State& state) {
   static DaemonCore* core = [] {
     DaemonOptions options;
     options.threads = 4;
-    options.refresh_cap = 4096;
     auto* c = new DaemonCore(BankQueries(8), options);
     NW_CHECK(c->ok());
     c->Start();

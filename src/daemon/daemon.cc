@@ -1,6 +1,5 @@
 #include "daemon/daemon.h"
 
-#include "query/engine.h"
 #include "support/check.h"
 #include "support/stopwatch.h"
 
@@ -47,10 +46,10 @@ DaemonCore::DaemonCore(const std::vector<std::string>& initial_queries,
   registry_.Register("daemon", &daemon_sink_);
 
   {
+    // Warm start: serve a complete partition from the first document.
     std::lock_guard<std::mutex> lock(admit_mu_);
     RebuildBankLocked();
-    // Epoch 0: cold, evaluator-construction scaffolding only.
-    PublishEpochLocked(/*refreshed=*/false, /*explore=*/false);
+    PublishEpochLocked(/*refreshed=*/true);
   }
   std::shared_ptr<const DaemonEpoch> e = current_epoch();
   evaluator_ = std::make_unique<ShardedEvaluator>(
@@ -61,11 +60,6 @@ DaemonCore::DaemonCore(const std::vector<std::string>& initial_queries,
   evaluator_->AttachStats(&registry_, /*with_attribution=*/false);
   evaluator_->Rebind(e->frozen, e->num_symbols);
   bound_epoch_ = e->id;
-  {
-    // Warm start: serve an explored snapshot from the first document.
-    std::lock_guard<std::mutex> lock(admit_mu_);
-    PublishEpochLocked(/*refreshed=*/true, /*explore=*/true);
-  }
 }
 
 DaemonCore::~DaemonCore() { DrainAndStop(); }
@@ -101,29 +95,7 @@ void DaemonCore::RebuildBankLocked() {
       OptimizeBank(asts, alphabet_.size(), options_.opt));
 }
 
-void DaemonCore::PublishEpochLocked(bool refreshed, bool explore) {
-  if (explore) {
-    // Replay recent traffic through the live bank first: streaming IS
-    // exploration (the memo table interns every tuple the documents
-    // visit), so the tuples the overflow banks kept servicing are
-    // promoted into the snapshot even when the capped ExploreAll below
-    // cannot finish the full product.
-    std::vector<ReplayDoc> replay;
-    {
-      std::lock_guard<std::mutex> lock(replay_mu_);
-      replay.assign(replay_.begin(), replay_.end());
-    }
-    if (!replay.empty()) {
-      Alphabet scratch = alphabet_;
-      QueryEngine trainer(bank_->shared->num_symbols());
-      trainer.set_other_symbol(other_);
-      trainer.AddBank(bank_->shared.get());
-      for (const ReplayDoc& d : replay) {
-        trainer.RunAll(d.text, &scratch, d.format);
-      }
-    }
-    bank_->shared->ExploreAll(options_.refresh_cap, nullptr);
-  }
+void DaemonCore::PublishEpochLocked(bool refreshed) {
   auto epoch = std::make_shared<DaemonEpoch>();
   epoch->id = next_epoch_id_++;
   epoch->refreshed = refreshed;
@@ -132,7 +104,10 @@ void DaemonCore::PublishEpochLocked(bool refreshed, bool explore) {
     epoch->query_texts.push_back(a.text);
   }
   epoch->bank = bank_;
-  epoch->frozen = SharedBank::FreezeShared(*bank_->shared);
+  epoch->frozen =
+      refreshed
+          ? FrozenPartition::Explore(bank_->shared->autos())
+          : FrozenPartition::Whole(SharedBank::FreezeShared(*bank_->shared));
   epoch->alphabet = alphabet_;
   // The engine symbol space is the bank's, not the (possibly larger)
   // master alphabet's: names interned by documents or by a failed ADMIT
@@ -159,13 +134,6 @@ void DaemonCore::CountRequest() {
   daemon_sink_.daemon_requests.Inc();
 }
 
-void DaemonCore::RememberDoc(const std::string& text, InputFormat format) {
-  if (options_.replay_capacity == 0) return;
-  std::lock_guard<std::mutex> lock(replay_mu_);
-  replay_.push_back(ReplayDoc{text, format});
-  while (replay_.size() > options_.replay_capacity) replay_.pop_front();
-}
-
 Result<SubmitOutcome> DaemonCore::Submit(std::string doc,
                                          InputFormat format) {
   auto pending = std::make_unique<PendingDoc>();
@@ -173,7 +141,6 @@ Result<SubmitOutcome> DaemonCore::Submit(std::string doc,
   pending->format = format;
   pending->enqueue_us = PulseNowUs();
   std::future<SubmitOutcome> done = pending->done.get_future();
-  RememberDoc(pending->text, format);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (stopping_) {
@@ -204,8 +171,8 @@ Result<uint64_t> DaemonCore::Admit(const std::string& query_text) {
   // Cold publication: freezing the unexplored bank snapshots just the
   // initial state, so admission latency is compile-bound. Every step
   // misses to the overflow banks (correct, slower) until the refresh
-  // nudged below publishes the explored snapshot.
-  PublishEpochLocked(/*refreshed=*/false, /*explore=*/false);
+  // nudged below publishes the explored partition.
+  PublishEpochLocked(/*refreshed=*/false);
   daemon_sink_.daemon_admissions.Inc();
   daemon_sink_.admission_latency_us.Record(
       static_cast<uint64_t>(sw.ElapsedUs()));
@@ -237,7 +204,7 @@ Status DaemonCore::Retire(uint64_t qid) {
   }
   admitted_.erase(admitted_.begin() + static_cast<ptrdiff_t>(index));
   RebuildBankLocked();
-  PublishEpochLocked(/*refreshed=*/false, /*explore=*/false);
+  PublishEpochLocked(/*refreshed=*/false);
   daemon_sink_.daemon_retirements.Inc();
   {
     std::lock_guard<std::mutex> rlock(refresh_mu_);
@@ -324,7 +291,7 @@ void DaemonCore::RefresherLoop() {
     }
     {
       std::lock_guard<std::mutex> lock(admit_mu_);
-      PublishEpochLocked(/*refreshed=*/true, /*explore=*/true);
+      PublishEpochLocked(/*refreshed=*/true);
     }
     handled = target;
     {

@@ -2,10 +2,10 @@
 // NWDaemon). The paper's one-pass/whole-bank guarantee only becomes a
 // service when the compiled bank outlives any single document; this
 // layer keeps one ShardedEvaluator hot across documents, admits and
-// retires queries online, and refreshes the frozen snapshot epoch-style:
+// retires queries online, and refreshes the frozen partition epoch-style:
 //
 //   epoch — an immutable published serving state: the admitted queries,
-//     their optimized bank, a frozen snapshot (a const SharedBank), the
+//     their optimized bank, a frozen partition (opt/bank.h), the
 //     alphabet at publish time, and the NWPulse baseline capture
 //     per-epoch metrics delta against. Published RCU-fashion as
 //     shared_ptr<const DaemonEpoch>: readers (the dispatcher, STATS
@@ -14,19 +14,19 @@
 //
 //   admission — ADMIT parses the query against the master alphabet,
 //     re-runs the optimizer pipeline over the whole bank, and publishes
-//     a COLD epoch (frozen without exploration: the snapshot holds just
-//     the initial state, so every step misses to the overflow banks —
-//     correct immediately, slow until refreshed). Admission latency is
-//     therefore compile-bound, not exploration-bound.
+//     a COLD epoch (the whole bank's product frozen without exploration:
+//     the snapshot holds just the initial state, so every step misses to
+//     the overflow banks — correct immediately, slow until refreshed).
+//     Admission latency is therefore compile-bound, not
+//     exploration-bound.
 //
-//   refresh — a background thread replays a bounded reservoir of recent
-//     documents through the live SharedBank (promoting the tuples real
-//     traffic needs, exactly the ones the overflow banks kept hitting),
-//     completes with a capped ExploreAll, freezes, and publishes a
-//     refreshed epoch sharing the same bank — so the frozen hit rate
-//     climbs back toward 1.0 after every admission, with zero reader
-//     stalls (serving threads keep streaming over the old snapshot
-//     until their batch completes).
+//   refresh — a background thread explores the bank as a complete
+//     partition (FrozenPartition::Explore: a few small per-group
+//     products under a state budget) and publishes a refreshed epoch
+//     sharing the same bank, so the frozen hit rate returns to 1.0 after
+//     every admission, with zero reader stalls (serving threads keep
+//     streaming over the old epoch until their batch completes).
+//     Start-up publishes a refreshed epoch synchronously.
 //
 // Threading: SUBMITs enqueue to a single dispatcher thread (the
 // ShardedEvaluator is not re-entrant — one EvaluateCorpus at a time by
@@ -67,34 +67,31 @@ struct DaemonOptions {
   /// Front end assumed for SUBMITs that carry no format tag.
   InputFormat default_format = InputFormat::kXml;
   /// Optimizer passes for every (re)compile; bank is forced on — the
-  /// daemon serves frozen snapshots, which need the shared product.
+  /// daemon's cold epochs serve the shared product.
   OptOptions opt = OptOptions::All();
-  /// ExploreAll state cap for the refresh pass (the nwquery freeze cap's
-  /// daemon twin; a bank that trips it serves the partial snapshot).
+  /// Unused by the daemon: a refresh explores a complete partition, which
+  /// needs no cap. Only the benchmark reads it, as the state cap of its
+  /// one-product exploration probe.
   size_t refresh_cap = 1u << 16;
-  /// Recent documents kept for refresh replay (0 disables replay; the
-  /// refresh is then pure ExploreAll).
-  size_t replay_capacity = 64;
 };
 
 /// One published serving state. Immutable after publication; the `bank`
-/// is shared with later refreshed epochs of the same admission set and
-/// is mutated ONLY under the core's admission mutex — never through
-/// this struct.
+/// is shared with later refreshed epochs of the same admission set.
 struct DaemonEpoch {
   uint64_t id = 0;
-  /// True when this epoch's snapshot came from a refresh (replay +
-  /// ExploreAll) rather than a cold admission freeze.
+  /// True when this epoch serves an explored partition rather than a
+  /// cold admission freeze.
   bool refreshed = false;
   /// Admission ids, in bank order (= query/result index order).
   std::vector<uint64_t> qids;
   /// Normal-form query texts, parallel to qids.
   std::vector<std::string> query_texts;
-  /// Owns the compiled NWAs and the live SharedBank the frozen snapshot
-  /// (and every overflow bank) aliases into.
+  /// Owns the compiled NWAs the frozen partition (and every overflow
+  /// bank) aliases into.
   std::shared_ptr<OptimizedBank> bank;
-  /// The immutable snapshot this epoch serves — the RCU unit.
-  std::shared_ptr<const SharedBank> frozen;
+  /// The immutable partition this epoch serves — the RCU unit. Complete
+  /// on a refreshed epoch; one cold snapshot of the whole bank otherwise.
+  std::shared_ptr<const FrozenPartition> frozen;
   /// Master-alphabet snapshot at publish (workers copy it per batch).
   Alphabet alphabet;
   size_t num_symbols = 0;
@@ -119,7 +116,7 @@ struct EpochMetrics {
   uint64_t epoch = 0;
   bool refreshed = false;
   size_t queries = 0;
-  size_t frozen_states = 0;
+  size_t frozen_states = 0;  ///< over every group of the partition
   size_t num_symbols = 0;
   // -- interval (since this epoch was published) --
   uint64_t documents = 0;
@@ -148,8 +145,8 @@ struct EpochMetrics {
 class DaemonCore {
  public:
   /// Parses and compiles `initial_queries` (normal nwquery grammar, one
-  /// per entry), builds epoch 0 cold, then refreshes synchronously so
-  /// startup serves a warm snapshot. Aborts (NW_CHECK) on an empty
+  /// per entry) and publishes epoch 0 refreshed, so startup serves a
+  /// complete partition. Aborts (NW_CHECK) on an empty
   /// list; a query that fails to parse leaves the object unusable with
   /// the message in init_error() — check ok() before Start().
   DaemonCore(const std::vector<std::string>& initial_queries,
@@ -219,11 +216,11 @@ class DaemonCore {
     std::promise<SubmitOutcome> done;
   };
 
-  /// Builds bank + frozen from `admitted_` and publishes a new epoch.
-  /// `refreshed` tags the epoch; `explore` runs the replay + ExploreAll
-  /// warmup before freezing (cold admissions skip it). Caller holds
+  /// Freezes `bank_` and publishes it as a new epoch: explored as a
+  /// complete partition when `refreshed`, else cold (the unexplored
+  /// product, served through the overflow banks). Caller holds
   /// admit_mu_.
-  void PublishEpochLocked(bool refreshed, bool explore);
+  void PublishEpochLocked(bool refreshed);
 
   /// Rebuilds the OptimizedBank from the admitted ASTs. Caller holds
   /// admit_mu_.
@@ -231,9 +228,6 @@ class DaemonCore {
 
   void DispatcherLoop();
   void RefresherLoop();
-
-  /// Remembers a document for refresh replay (bounded ring).
-  void RememberDoc(const std::string& text, InputFormat format);
 
   DaemonOptions options_;
   Status init_error_;
@@ -269,14 +263,6 @@ class DaemonCore {
   uint64_t refresh_requested_ = 0;  ///< generation counter
   uint64_t refresh_done_ = 0;
   bool refresh_stop_ = false;
-
-  // -- replay reservoir (replay_mu_): recent docs for refresh warmup. --
-  std::mutex replay_mu_;
-  struct ReplayDoc {
-    std::string text;
-    InputFormat format;
-  };
-  std::deque<ReplayDoc> replay_;
 
   // -- observability. Registration completes in the constructor (the
   // pulse scraper and RenderProm iterate the sink list lock-free). The

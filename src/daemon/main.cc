@@ -7,7 +7,7 @@
 // newline-delimited JSON protocol (daemon/protocol.h, docs/DAEMON.md)
 // over the Unix-domain control socket: SUBMIT documents in any of the
 // three front-end formats, ADMIT/RETIRE queries online (the bank is
-// re-optimized and the frozen snapshot refreshed epoch-style in the
+// re-optimized and the frozen partition refreshed epoch-style in the
 // background, with no serving stalls), STATS, SHUTDOWN. tools/nwclient.py
 // is the matching client.
 //
@@ -22,8 +22,6 @@
 //                     without the shared bank cannot serve frozen)
 //   --format F        default format for SUBMITs without a tag:
 //                     xml (default) | json | trace
-//   --refresh-cap N   ExploreAll state cap for epoch refreshes
-//                     (default 65536)
 //   --stats-interval MS
 //                     NWPulse: sample the daemon registry every MS ms
 //   --pulse-file F    JSONL destination for --stats-interval (default
@@ -65,7 +63,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: nwqueryd --socket PATH --queries FILE "
                "[--http PORT] [--threads N] [--opt bank|all] "
-               "[--format xml|json|trace] [--refresh-cap N] "
+               "[--format xml|json|trace] "
                "[--stats-interval MS] [--pulse-file F]\n");
   return 2;
 }
@@ -139,12 +137,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
                      value.c_str());
         return false;
       }
-    } else if (name == "--refresh-cap") {
-      if (!take() || !ParseUint(value.c_str(), &v) || v == 0) {
-        std::fprintf(stderr, "nwqueryd: --refresh-cap must be >= 1\n");
-        return false;
-      }
-      flags->daemon.refresh_cap = v;
     } else if (name == "--stats-interval") {
       if (!take() || !ParseUint(value.c_str(), &v) || v == 0) {
         std::fprintf(stderr,

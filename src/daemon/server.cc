@@ -82,10 +82,7 @@ DaemonServer::~DaemonServer() {
   if (http_thread_.joinable()) http_thread_.join();
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (std::thread& t : connections_) {
-      if (t.joinable()) t.join();
-    }
-    connections_.clear();
+    ReapLocked(/*all=*/true);
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (http_fd_ >= 0) ::close(http_fd_);
@@ -145,6 +142,23 @@ Status DaemonServer::Start() {
 
 void DaemonServer::Stop() { stop_.store(true, std::memory_order_relaxed); }
 
+size_t DaemonServer::held_connections() {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return connections_.size();
+}
+
+void DaemonServer::ReapLocked(bool all) {
+  size_t kept = 0;
+  for (std::unique_ptr<Connection>& c : connections_) {
+    if (all || c->done.load(std::memory_order_acquire)) {
+      c->thread.join();
+    } else {
+      connections_[kept++] = std::move(c);
+    }
+  }
+  connections_.resize(kept);
+}
+
 void DaemonServer::Run() {
   if (http_fd_ >= 0) {
     http_thread_ = std::thread(&DaemonServer::HttpLoop, this);
@@ -160,6 +174,10 @@ void DaemonServer::Run() {
       nfds = 2;
     }
     int ready = ::poll(fds, nfds, 200);
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      ReapLocked(/*all=*/false);
+    }
     if (ready <= 0) continue;  // timeout or EINTR: re-check stop_
     if (nfds == 2 && (fds[1].revents & POLLIN) != 0) {
       char drain[16];
@@ -168,10 +186,16 @@ void DaemonServer::Run() {
       break;  // SIGINT/SIGTERM: graceful stop
     }
     if ((fds[0].revents & POLLIN) == 0) continue;
-    int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) continue;
+    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) continue;
+    auto conn = std::make_unique<Connection>();
+    Connection* c = conn.get();
     std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.emplace_back(&DaemonServer::Serve, this, conn);
+    c->thread = std::thread([this, fd, c] {
+      Serve(fd);
+      c->done.store(true, std::memory_order_release);
+    });
+    connections_.push_back(std::move(conn));
   }
   stop_.store(true, std::memory_order_relaxed);
   // In-flight requests complete: connection threads only exit between
@@ -179,10 +203,7 @@ void DaemonServer::Run() {
   // returns — the first half of the graceful-drain contract.
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (std::thread& t : connections_) {
-      if (t.joinable()) t.join();
-    }
-    connections_.clear();
+    ReapLocked(/*all=*/true);
   }
   if (http_thread_.joinable()) http_thread_.join();
   ::close(listen_fd_);

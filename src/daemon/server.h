@@ -1,7 +1,8 @@
 // NWDaemon transport: the Unix-domain control socket (newline-delimited
 // JSON requests, see daemon/protocol.h) and the minimal HTTP /metrics
 // endpoint (Prometheus text exposition straight from the core registry's
-// RenderProm). One thread per control connection; one thread for HTTP.
+// RenderProm). One thread per control connection, joined by the accept
+// loop once its connection closes; one thread for HTTP.
 //
 // Shutdown paths, all converging on the same graceful drain:
 //   * a SHUTDOWN request — the connection gets its {"ok":true} response
@@ -17,6 +18,7 @@
 #define NW_DAEMON_SERVER_H_
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -71,7 +73,21 @@ class DaemonServer {
   /// Asks Run() to wind down (thread-safe; used by tests).
   void Stop();
 
+  /// Connection threads held right now: serving, or finished and not yet
+  /// joined. The accept loop joins finished ones at least every 200 ms,
+  /// so this tracks the open connections, not every connection ever
+  /// accepted. Thread-safe.
+  size_t held_connections();
+
  private:
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
+  /// Joins the connection threads that have finished, or every one when
+  /// `all`. Caller holds conn_mu_.
+  void ReapLocked(bool all);
   void HttpLoop();
   void Serve(int fd);
   /// Handles one request line; appends the response (newline included)
@@ -87,7 +103,7 @@ class DaemonServer {
   std::atomic<bool> stop_{false};
   std::thread http_thread_;
   std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
+  std::vector<std::unique_ptr<Connection>> connections_;
 };
 
 }  // namespace nw

@@ -1,6 +1,7 @@
 #include "opt/bank.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "obs/prof.h"
@@ -344,6 +345,72 @@ const StateId* SharedBank::ComponentReturnRow(size_t i, StateId q,
     }
   }
   return rows.cells.data() + size_t{row} * num_symbols_;
+}
+
+std::shared_ptr<const FrozenPartition> FrozenPartition::Explore(
+    const std::vector<const Nwa*>& autos, size_t budget,
+    CompileTimeline* timeline, StatsSink* stats) {
+  NW_CHECK_MSG(!autos.empty(), "a partition needs at least one automaton");
+  auto p = std::make_shared<FrozenPartition>();
+  double explore_us = 0, freeze_us = 0;
+  auto explored = [&](size_t begin, size_t end, size_t cap) {
+    Stopwatch sw;
+    auto bank = std::make_unique<SharedBank>(std::vector<const Nwa*>(
+        autos.begin() + static_cast<ptrdiff_t>(begin),
+        autos.begin() + static_cast<ptrdiff_t>(end)));
+    if (stats != nullptr) bank->set_stats(stats);
+    if (!bank->ExploreAll(cap)) bank.reset();
+    explore_us += sw.ElapsedUs();
+    return bank;
+  };
+  for (size_t begin = 0; begin < autos.size();) {
+    // A single query's product is bounded by its own automaton.
+    std::unique_ptr<SharedBank> open =
+        explored(begin, begin + 1, std::numeric_limits<size_t>::max());
+    size_t end = begin + 1;
+    for (; end < autos.size(); ++end) {
+      std::unique_ptr<SharedBank> wider = explored(begin, end + 1, budget);
+      if (wider == nullptr) break;
+      open = std::move(wider);
+    }
+    Stopwatch sw;
+    p->AddGroup(SharedBank::FreezeShared(*open));
+    freeze_us += sw.ElapsedUs();
+    begin = end;
+  }
+  p->complete_ = true;
+  if (timeline != nullptr) {
+    timeline->Record("explore", static_cast<uint64_t>(explore_us), 0,
+                     p->num_states());
+    timeline->Record("freeze", static_cast<uint64_t>(freeze_us),
+                     p->num_states(), p->num_states());
+  }
+  return p;
+}
+
+std::shared_ptr<const FrozenPartition> FrozenPartition::Whole(
+    std::shared_ptr<const SharedBank> snapshot) {
+  auto p = std::make_shared<FrozenPartition>();
+  p->AddGroup(std::move(snapshot));
+  return p;
+}
+
+void FrozenPartition::AddGroup(std::shared_ptr<const SharedBank> group) {
+  NW_CHECK_MSG(groups_.empty() ||
+                   group->num_symbols() == groups_[0]->num_symbols(),
+               "partition group symbol space mismatch");
+  const uint32_t g = static_cast<uint32_t>(groups_.size());
+  first_.push_back(slots_.size());
+  for (size_t i = 0; i < group->num_queries(); ++i) {
+    slots_.push_back(Slot{g, static_cast<uint32_t>(i)});
+  }
+  groups_.push_back(std::move(group));
+}
+
+size_t FrozenPartition::num_states() const {
+  size_t total = 0;
+  for (const auto& g : groups_) total += g->num_states();
+  return total;
 }
 
 }  // namespace nw

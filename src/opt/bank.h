@@ -25,6 +25,18 @@
 // than every state against every frame. A hard state cap turns
 // pathological blow-ups into a loud failure instead of an OOM; callers
 // can always fall back to the per-query SoA path.
+//
+// The product of K queries can still blow up: the standard 16-query bank
+// reaches 35,320 states, and 24 queries pass 65,536. FrozenPartition
+// splits a bank into G contiguous groups of queries and explores each
+// group's product completely, under a state budget B per group: the next
+// query joins the open group unless the widened group's ExploreAll(B)
+// fails, in which case it opens a new group. A group of one query
+// explores without a cap, since its product is bounded by that query's
+// own automaton, so every group completes. The one product (G = 1) and
+// the per-query SoA path (G = K) are the two extremes; a partition pays
+// one table step per group per position for a product that stays small
+// (the 16-query bank splits into a few groups of ~1.4K states in all).
 #ifndef NW_OPT_BANK_H_
 #define NW_OPT_BANK_H_
 
@@ -258,6 +270,64 @@ class SharedBank {
   std::vector<const StateId*> row_buf_;
   /// NWStats sink, or nullptr when observability is off (see set_stats).
   StatsSink* stats_ = nullptr;
+};
+
+/// A query bank explored as G complete per-group products and frozen
+/// (see the header comment). Built once, then held const: any number of
+/// threads step it lock-free, one product state per group. Query i of
+/// the bank is bit slot(i).bit of group slot(i).group's accept bitset;
+/// groups are contiguous, so group g serves the group(g).num_queries()
+/// queries from first_query(g) on.
+class FrozenPartition {
+ public:
+  /// The per-group state budget B of Explore. Chosen from a sweep over
+  /// the standard 16-query bank (docs/ARCHITECTURE.md): larger budgets
+  /// buy fewer groups, so a cheaper step per position, for a product
+  /// whose explore time grows faster than its group count falls.
+  static constexpr size_t kBudget = 512;
+
+  /// Where one query is served.
+  struct Slot {
+    uint32_t group;
+    uint32_t bit;  ///< the query's index within its group
+  };
+
+  /// Groups `autos` greedily in order under `budget` states per group,
+  /// explores every group completely and freezes it. The automata must
+  /// satisfy SharedBank's contract and outlive the partition. With a
+  /// timeline (obs/prof.h) records one "explore" phase (every group's
+  /// exploration, failed widenings included; states 0 → the partition's
+  /// total) and one "freeze" phase. With a sink, every product bank the
+  /// grouping builds counts its interned states and memo traffic into it.
+  static std::shared_ptr<const FrozenPartition> Explore(
+      const std::vector<const Nwa*>& autos, size_t budget = kBudget,
+      CompileTimeline* timeline = nullptr, StatsSink* stats = nullptr);
+
+  /// One group holding `snapshot` as it is: a snapshot that may miss
+  /// (trained, or frozen cold), so complete() is false and it is served
+  /// with overflow banks (serve/frozen_bank.h).
+  static std::shared_ptr<const FrozenPartition> Whole(
+      std::shared_ptr<const SharedBank> snapshot);
+
+  /// True when every group was explored completely, so no step of a
+  /// stream whose symbols are in range can miss.
+  bool complete() const { return complete_; }
+  size_t num_groups() const { return groups_.size(); }
+  const SharedBank& group(size_t g) const { return *groups_[g]; }
+  size_t first_query(size_t g) const { return first_[g]; }
+  Slot slot(size_t query) const { return slots_[query]; }
+  size_t num_queries() const { return slots_.size(); }
+  size_t num_symbols() const { return groups_[0]->num_symbols(); }
+  /// Product states over all groups.
+  size_t num_states() const;
+
+ private:
+  void AddGroup(std::shared_ptr<const SharedBank> group);
+
+  std::vector<std::shared_ptr<const SharedBank>> groups_;
+  std::vector<size_t> first_;
+  std::vector<Slot> slots_;
+  bool complete_ = false;
 };
 
 }  // namespace nw

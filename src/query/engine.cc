@@ -37,7 +37,7 @@ void QueryEngine::RecordDocStats(uint64_t latency_us, size_t doc_positions,
     stats_->engine_docs.Inc();
     stats_->engine_positions.Add(doc_positions);
     stats_->doc_latency_us.Record(latency_us);
-    if (overflow_ != nullptr) {
+    if (overflow_ != nullptr || partition_ != nullptr) {
       stats_->engine_docs_frozen.Inc();
     } else if (product_ != nullptr) {
       stats_->engine_docs_bank.Inc();
@@ -57,10 +57,16 @@ void QueryEngine::RecordDocStats(uint64_t latency_us, size_t doc_positions,
 }
 
 size_t QueryEngine::num_queries() const {
-  return product_ != nullptr ? product_->num_queries() : autos_.size();
+  if (product_ != nullptr) return product_->num_queries();
+  return partition_ != nullptr ? partition_->num_queries() : autos_.size();
 }
 
 bool QueryEngine::Accepting(size_t id) const {
+  if (partition_ != nullptr) {
+    const FrozenPartition::Slot slot = partition_->slot(id);
+    return groups_[slot.group]->accepting(group_state_[slot.group],
+                                          slot.bit);
+  }
   if (product_ == nullptr) {
     return state_[id] != kNoState && autos_[id]->is_final(state_[id]);
   }
@@ -71,6 +77,11 @@ bool QueryEngine::Accepting(size_t id) const {
 }
 
 bool QueryEngine::dead(size_t id) const {
+  if (partition_ != nullptr) {
+    const FrozenPartition::Slot slot = partition_->slot(id);
+    return groups_[slot.group]->component(group_state_[slot.group],
+                                          slot.bit) == kNoState;
+  }
   if (product_ == nullptr) return state_[id] == kNoState;
   if (OverflowBank::IsOverflowId(bank_state_)) {
     return overflow_->component(bank_state_, id) == kNoState;
@@ -79,10 +90,10 @@ bool QueryEngine::dead(size_t id) const {
 }
 
 size_t QueryEngine::Add(const Nwa* a) {
-  NW_CHECK_MSG(product_ == nullptr,
-               "Add(), AddBank(), and AddFrozen() are mutually exclusive: "
-               "the engine steps K automata, one shared product, or one "
-               "frozen snapshot");
+  NW_CHECK_MSG(product_ == nullptr && partition_ == nullptr,
+               "Add(), AddBank(), AddFrozen() and AddPartition() are "
+               "mutually exclusive: the engine steps K automata, one "
+               "shared product, one frozen snapshot, or one partition");
   NW_CHECK_MSG(a->num_symbols() == num_symbols_,
                "query automaton symbol space mismatch");
   // Discard frames a previous stream left pending (unclosed opens are
@@ -95,12 +106,17 @@ size_t QueryEngine::Add(const Nwa* a) {
   return autos_.size() - 1;
 }
 
-void QueryEngine::SetProduct(const SharedBank* product) {
-  NW_CHECK_MSG(autos_.empty() && product_ == nullptr,
-               "AddBank() and AddFrozen() need a fresh engine: no Add()ed "
-               "automata and no previous bank or frozen snapshot");
-  NW_CHECK_MSG(product->num_symbols() == num_symbols_,
+void QueryEngine::CheckFresh(size_t num_symbols) const {
+  NW_CHECK_MSG(autos_.empty() && product_ == nullptr && partition_ == nullptr,
+               "AddBank(), AddFrozen() and AddPartition() need a fresh "
+               "engine: no Add()ed automata and no previous bank, frozen "
+               "snapshot or partition");
+  NW_CHECK_MSG(num_symbols == num_symbols_,
                "shared bank symbol space mismatch");
+}
+
+void QueryEngine::SetProduct(const SharedBank* product) {
+  CheckFresh(product->num_symbols());
   stack_.clear();
   product_ = product;
   bank_state_ = product_->initial();
@@ -121,6 +137,29 @@ void QueryEngine::AddFrozen(const SharedBank* frozen,
   overflow_ = overflow;
 }
 
+void QueryEngine::AddPartition(const FrozenPartition* partition) {
+  NW_CHECK_MSG(partition->complete(),
+               "AddPartition() steps complete partitions only; serve a "
+               "snapshot that can miss through AddFrozen() and an overflow "
+               "bank");
+  CheckFresh(partition->num_symbols());
+  stack_.clear();
+  partition_ = partition;
+  for (size_t g = 0; g < partition->num_groups(); ++g) {
+    groups_.push_back(&partition->group(g));
+  }
+  group_state_.resize(groups_.size());
+  ResetGroups();
+}
+
+void QueryEngine::ResetGroups() {
+  live_ = 0;
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    group_state_[g] = groups_[g]->initial();
+    live_ += groups_[g]->live(group_state_[g]);
+  }
+}
+
 void QueryEngine::set_other_symbol(Symbol s) {
   NW_CHECK_MSG(s < num_symbols_,
                "catch-all symbol %u out of range: engine compiled over %zu "
@@ -133,6 +172,8 @@ void QueryEngine::BeginStream() {
   if (product_ != nullptr) {
     bank_state_ = product_->initial();
     live_ = product_->live(bank_state_);
+  } else if (partition_ != nullptr) {
+    ResetGroups();
   } else {
     live_ = 0;
     for (size_t i = 0; i < autos_.size(); ++i) {
@@ -149,6 +190,10 @@ void QueryEngine::BeginStream() {
     if (product_ != nullptr) {
       seen_accepts_.assign(product_->accept_words(), 0);
       scratch_accepts_.assign(product_->accept_words(), 0);
+    } else if (partition_ != nullptr) {
+      size_t words = 0;
+      for (const SharedBank* g : groups_) words += g->accept_words();
+      seen_accepts_.assign(words, 0);
     }
     LatchMatches();  // a query may accept the empty prefix (position 0)
   }
@@ -158,7 +203,7 @@ size_t QueryEngine::Feed(TaggedSymbol t) {
   ++positions_;
   ++stream_pos_;
   const size_t k = autos_.size();
-  if (product_ == nullptr && k == 0) return 0;
+  if (product_ == nullptr && partition_ == nullptr && k == 0) return 0;
   Symbol s = t.symbol;
   if (s >= num_symbols_) {
     NW_CHECK_MSG(other_ != Alphabet::kNoSymbol,
@@ -168,6 +213,7 @@ size_t QueryEngine::Feed(TaggedSymbol t) {
     s = other_;
   }
   if (overflow_ != nullptr) return FeedFrozen(t.kind, s);
+  if (partition_ != nullptr) return FeedPartition(t.kind, s);
   if (memo_ != nullptr) {
     // Shared-bank path: ONE step and (per call) ONE pushed StateId for
     // the whole bank, regardless of K.
@@ -301,7 +347,55 @@ size_t QueryEngine::FeedFrozen(Kind kind, Symbol s) {
   return live_;
 }
 
-void QueryEngine::LatchFromWords(const uint64_t* acc, size_t words) {
+size_t QueryEngine::FeedPartition(Kind kind, Symbol s) {
+  // Every group was explored completely, so every step is a lock-free
+  // table read: the position is one frozen hit, and a miss is a bug.
+  stats_->frozen_hits.Inc();
+  const size_t g = groups_.size();
+  StateId* state = group_state_.data();
+  switch (kind) {
+    case Kind::kInternal:
+      for (size_t i = 0; i < g; ++i) {
+        state[i] = groups_[i]->PeekInternal(state[i], s);
+        NW_CHECK_MSG(state[i] != kNoState,
+                     "partition group %zu has no internal step", i);
+      }
+      break;
+    case Kind::kCall: {
+      const size_t base = stack_.size();
+      stack_.resize(base + g);
+      for (size_t i = 0; i < g; ++i) {
+        stack_[base + i] = groups_[i]->PeekCallHier(state[i], s);
+        state[i] = groups_[i]->PeekCallLinear(state[i], s);
+        NW_CHECK_MSG(state[i] != kNoState,
+                     "partition group %zu has no call step", i);
+      }
+      const size_t frames = stack_.size() / g;
+      if (frames > max_frames_) max_frames_ = frames;
+      break;
+    }
+    case Kind::kReturn: {
+      // Pending return (empty stack): every group reads its P0 frame.
+      const bool pending = stack_.empty();
+      const size_t base = pending ? 0 : stack_.size() - g;
+      for (size_t i = 0; i < g; ++i) {
+        const StateId h = pending ? kNoState : stack_[base + i];
+        state[i] = groups_[i]->Return(state[i], h, s);
+        NW_CHECK_MSG(state[i] != kNoState,
+                     "partition group %zu has no return step", i);
+      }
+      if (!pending) stack_.resize(base);
+      break;
+    }
+  }
+  live_ = 0;
+  for (size_t i = 0; i < g; ++i) live_ += groups_[i]->live(state[i]);
+  if (track_matches_) LatchMatches();
+  return live_;
+}
+
+void QueryEngine::LatchFromWords(const uint64_t* acc, size_t words,
+                                 uint64_t* seen, size_t first) {
   for (size_t w = 0; w < words; ++w) {
     if (attr_ != nullptr) {
       // NWProf accept tally: every set bit is one "query observed
@@ -311,20 +405,30 @@ void QueryEngine::LatchFromWords(const uint64_t* acc, size_t words) {
       while (bits != 0) {
         size_t bit = static_cast<size_t>(__builtin_ctzll(bits));
         bits &= bits - 1;
-        attr_->query(w * 64 + bit).accept_positions.Inc();
+        attr_->query(first + w * 64 + bit).accept_positions.Inc();
       }
     }
-    uint64_t fresh = acc[w] & ~seen_accepts_[w];
-    seen_accepts_[w] |= acc[w];
+    uint64_t fresh = acc[w] & ~seen[w];
+    seen[w] |= acc[w];
     while (fresh != 0) {
       size_t bit = static_cast<size_t>(__builtin_ctzll(fresh));
       fresh &= fresh - 1;
-      first_match_[w * 64 + bit] = static_cast<int64_t>(stream_pos_);
+      first_match_[first + w * 64 + bit] = static_cast<int64_t>(stream_pos_);
     }
   }
 }
 
 void QueryEngine::LatchMatches() {
+  if (partition_ != nullptr) {
+    uint64_t* seen = seen_accepts_.data();
+    for (size_t g = 0; g < groups_.size(); ++g) {
+      const size_t words = groups_[g]->accept_words();
+      LatchFromWords(groups_[g]->accepts(group_state_[g]), words, seen,
+                     partition_->first_query(g));
+      seen += words;
+    }
+    return;
+  }
   if (product_ != nullptr) {
     const uint64_t* acc;
     if (OverflowBank::IsOverflowId(bank_state_)) {
@@ -333,7 +437,7 @@ void QueryEngine::LatchMatches() {
     } else {
       acc = product_->accepts(bank_state_);
     }
-    LatchFromWords(acc, product_->accept_words());
+    LatchFromWords(acc, product_->accept_words(), seen_accepts_.data(), 0);
     return;
   }
   for (size_t i = 0; i < autos_.size(); ++i) {

@@ -20,6 +20,11 @@
 //    engine's mutex-guarded OverflowBank so coverage gaps degrade
 //    throughput, never correctness. hit/miss counters feed the serving
 //    stats.
+//  * Partition path (AddPartition): a bank explored as G complete
+//    per-group products (opt/bank.h's FrozenPartition). Per position the
+//    engine steps G frozen tables and pushes a frame of G StateIds; a
+//    query's result is one bit of its group's state. No step can miss,
+//    so there is no overflow bank.
 //
 // An optional match-position tap records, per query, the number of stream
 // positions consumed when the query was first observed accepting — the
@@ -38,11 +43,12 @@
 
 namespace nw {
 
-// The shared-bank product (opt/bank.h) and the serving layer's overflow
-// bank (serve/frozen_bank.h) live layers above; the engine only holds
-// pointers to them, so the base query layer's headers stay free of upward
-// includes.
+// The shared-bank product and its partition (opt/bank.h) and the serving
+// layer's overflow bank (serve/frozen_bank.h) live layers above; the
+// engine only holds pointers to them, so the base query layer's headers
+// stay free of upward includes.
 class SharedBank;
+class FrozenPartition;
 class OverflowBank;
 
 class QueryEngine {
@@ -74,6 +80,12 @@ class QueryEngine {
   /// Both must outlive the engine. Mutually exclusive with
   /// Add()/AddBank().
   void AddFrozen(const SharedBank* frozen, OverflowBank* overflow);
+
+  /// Registers a complete frozen partition (FrozenPartition::Explore):
+  /// the engine then steps every group per position. `partition` is only
+  /// read, may back any number of engines concurrently, and must outlive
+  /// the engine. Mutually exclusive with Add()/AddBank()/AddFrozen().
+  void AddPartition(const FrozenPartition* partition);
 
   /// Stream symbols >= num_symbols() (element names interned after the
   /// queries were compiled) are remapped to this in-range catch-all
@@ -144,12 +156,14 @@ class QueryEngine {
   std::vector<bool> RunAll(const std::string& text, Alphabet* alphabet,
                            InputFormat format = InputFormat::kXml);
 
-  /// Frozen-path steps answered by the immutable snapshot (lock-free).
-  /// Lives in the attached stats sink (the engine-internal one when none
-  /// was attached), so the serving layer reads one source of truth.
+  /// Frozen-path steps answered by the immutable snapshot (lock-free);
+  /// on the partition path one per position, whatever G is. Lives in the
+  /// attached stats sink (the engine-internal one when none was
+  /// attached), so the serving layer reads one source of truth.
   size_t frozen_hits() const { return stats_->frozen_hits.value(); }
   /// Frozen-path steps that missed the snapshot and took the overflow
-  /// bank's mutex. hits + misses = positions fed on the frozen path.
+  /// bank's mutex (never on the partition path). hits + misses =
+  /// positions fed on the frozen and partition paths.
   size_t frozen_misses() const { return stats_->frozen_misses.value(); }
 
   /// Number of BeginStream() calls — the "K queries, one traversal"
@@ -166,20 +180,29 @@ class QueryEngine {
   /// Peak resident run-state footprint of the current stream, in
   /// StateIds: K linear states plus K per shared stack frame at the
   /// stack's high-water mark — O(K·depth) on the SoA path, O(depth) on
-  /// the shared-bank path (one product state per frame), independent of
-  /// stream length either way.
+  /// the shared-bank path (one product state per frame), O(G·depth) on
+  /// the partition path, independent of stream length every way.
   size_t ResidentStates() const {
     if (product_ != nullptr) return 1 + max_frames_;
+    if (partition_ != nullptr) return groups_.size() * (1 + max_frames_);
     return state_.size() + autos_.size() * max_frames_;
   }
 
  private:
   size_t AtLeastOne() const { return autos_.empty() ? 1 : autos_.size(); }
+  /// Registration checks shared by AddBank, AddFrozen and AddPartition.
+  void CheckFresh(size_t num_symbols) const;
   /// Registration shared by AddBank and AddFrozen.
   void SetProduct(const SharedBank* product);
+  /// Partition path: every group back at its initial state.
+  void ResetGroups();
   /// StateIds per shared stack frame: K on the SoA path, 1 on the bank
-  /// and frozen paths (a frame is one interned product tuple).
-  size_t FrameWidth() const { return product_ != nullptr ? 1 : AtLeastOne(); }
+  /// and frozen paths (a frame is one interned product tuple), G on the
+  /// partition path.
+  size_t FrameWidth() const {
+    if (product_ != nullptr) return 1;
+    return partition_ != nullptr ? groups_.size() : AtLeastOne();
+  }
   /// Records first-accept positions for queries newly observed accepting.
   void LatchMatches();
   /// NWStats/NWProf per-document record shared by the RunAll overloads:
@@ -188,10 +211,15 @@ class QueryEngine {
   /// over `results`.
   void RecordDocStats(uint64_t latency_us, size_t doc_positions,
                       const std::vector<bool>& results);
-  /// Word-parallel accept diffing shared by the bank and frozen paths.
-  void LatchFromWords(const uint64_t* acc, size_t words);
+  /// Word-parallel accept diffing shared by the bank, frozen and
+  /// partition paths: `acc` holds the accept bits of queries `first`
+  /// onward, `seen` the bits of theirs already latched.
+  void LatchFromWords(const uint64_t* acc, size_t words, uint64_t* seen,
+                      size_t first);
   /// One stream position on the frozen path (split out of Feed).
   size_t FeedFrozen(Kind kind, Symbol s);
+  /// One stream position on the partition path (split out of Feed).
+  size_t FeedPartition(Kind kind, Symbol s);
   /// The streaming RunAll body, templated over the TokenStream concept
   /// (stream/token_stream.h) — the seam that keeps the engine free of
   /// per-format forks.
@@ -211,6 +239,11 @@ class QueryEngine {
   SharedBank* memo_ = nullptr;
   /// Frozen path: where steps the snapshot misses go. Null otherwise.
   OverflowBank* overflow_ = nullptr;
+  /// Partition path: the partition, its groups, and the current product
+  /// state of each group. Null and empty otherwise.
+  const FrozenPartition* partition_ = nullptr;
+  std::vector<const SharedBank*> groups_;
+  std::vector<StateId> group_state_;
   /// Current product state on the shared-bank path; on the frozen path a
   /// mixed-space id (frozen, or overflow-tagged after a snapshot miss).
   StateId bank_state_ = kNoState;
@@ -228,7 +261,8 @@ class QueryEngine {
   size_t live_ = 0;
   bool track_matches_ = false;
   std::vector<int64_t> first_match_;
-  /// Bank/frozen paths: accept bits already latched (word-parallel diff).
+  /// Bank/frozen/partition paths: accept bits already latched
+  /// (word-parallel diff; on the partition path group after group).
   std::vector<uint64_t> seen_accepts_;
   /// Frozen path: scratch for an overflow state's accept bitset copy.
   std::vector<uint64_t> scratch_accepts_;

@@ -21,12 +21,14 @@
 //   --threads N     shard the documents across N worker threads over a
 //                   frozen bank (implies --freeze; requires an --opt level
 //                   that builds the shared bank: bank or all)
-//   --freeze[=F,..] pre-explore the shared bank and serve an immutable
+//   --freeze[=F,..] pre-explore the bank and serve an immutable
 //                   snapshot: with no value, every step a run over the
-//                   query alphabet can reach (up to a state cap); with a
-//                   comma-separated list of XML files, by training on
-//                   those documents (steps the training never saw fall
-//                   back to a per-shard overflow bank)
+//                   query alphabet can reach, explored as a partition of
+//                   small per-group products (opt/bank.h); with a
+//                   comma-separated list of XML files, by training the
+//                   one shared product on those documents (steps the
+//                   training never saw fall back to a per-shard overflow
+//                   bank)
 //   --random N      also evaluate over N generated random documents
 //   --positions P   approximate positions per random document (default 2000)
 //   --depth D       maximum depth of random documents (default 16)
@@ -468,32 +470,25 @@ void RenderStats(const StatsRegistry& registry, const Options& opt) {
   }
 }
 
-/// The --freeze/--threads path: pre-explore the shared bank, snapshot it
-/// with SharedBank::Freeze, and shard the whole corpus across worker
-/// threads. Output (match lines, per-document order) is byte-identical to
-/// the single-stream path at any thread count.
+/// The --freeze/--threads path: explore the bank as a complete partition
+/// (or train the shared product on --freeze files and snapshot it), and
+/// shard the whole corpus across worker threads. Output (match lines,
+/// per-document order) is byte-identical to the single-stream path at
+/// any thread count.
 int ServeFrozen(const Options& opt, OptimizedBank* bank, Alphabet* alphabet,
                 size_t num_symbols, Symbol other,
                 const std::vector<std::string>& query_texts,
                 StatsRegistry* registry, Tracer* tracer,
                 CompileTimeline* timeline) {
-  /// Exploration guard. ExploreAll closes only the (frame, state)
-  /// contexts runs can reach — 35,320 states for the 16-query bench bank
-  /// — but the reachable product can still grow exponentially with the
-  /// bank. A bank that trips the cap is served from the breadth-first
-  /// partial snapshot, whose misses fall back to the overflow banks (or
-  /// it can be trained with --freeze=corpus instead).
-  constexpr size_t kFreezeStateCap = 1u << 16;
   SharedBank* shared = bank->shared.get();
   // The exploration/training sink: product states interned and memo
   // traffic while building the snapshot land under the "main" label; the
   // serving traffic lands in the per-shard sinks below.
   StatsSink main_sink;
-  if (opt.stats) {
-    registry->Register("main", &main_sink);
-    shared->set_stats(&main_sink);
-  }
+  if (opt.stats) registry->Register("main", &main_sink);
+  std::shared_ptr<const FrozenPartition> frozen;
   if (!opt.freeze_files.empty()) {
+    if (opt.stats) shared->set_stats(&main_sink);
     // Train: stream the training corpus through a single-stream engine
     // over the shared bank; its memoization IS the exploration.
     Stopwatch explore_sw;
@@ -511,14 +506,13 @@ int ServeFrozen(const Options& opt, OptimizedBank* bank, Alphabet* alphabet,
                        static_cast<uint64_t>(explore_sw.ElapsedUs()),
                        states_before, shared->num_states());
     }
-  } else if (!shared->ExploreAll(kFreezeStateCap, timeline)) {
-    std::fprintf(stderr,
-                 "nwquery: reachable-context exploration stopped at the "
-                 "cap with %zu product states; serving the partial "
-                 "snapshot (misses fall back to the overflow banks)\n",
-                 shared->num_states());
+    frozen = FrozenPartition::Whole(SharedBank::FreezeShared(*shared,
+                                                             timeline));
+  } else {
+    frozen = FrozenPartition::Explore(shared->autos(),
+                                      FrozenPartition::kBudget, timeline,
+                                      opt.stats ? &main_sink : nullptr);
   }
-  const SharedBank frozen = SharedBank::Freeze(*shared, timeline);
 
   // Materialize the corpus — same documents, same labels, same order as
   // the single-stream path.
@@ -539,7 +533,7 @@ int ServeFrozen(const Options& opt, OptimizedBank* bank, Alphabet* alphabet,
     }
   }
 
-  ShardedEvaluator evaluator(&frozen, num_symbols, other, opt.threads,
+  ShardedEvaluator evaluator(frozen.get(), num_symbols, other, opt.threads,
                              opt.format);
   if (opt.stats) evaluator.AttachStats(registry);
   evaluator.set_tracer(tracer);
@@ -570,7 +564,7 @@ int ServeFrozen(const Options& opt, OptimizedBank* bank, Alphabet* alphabet,
   }
   if (opt.stats) {
     const ServeStats& s = evaluator.stats();
-    registry->SetMetaNum("frozen_states", frozen.num_states());
+    registry->SetMetaNum("frozen_states", frozen->num_states());
     if (opt.stats_text()) {
       // A corpus that never stepped the bank (e.g. zero documents) has
       // no meaningful hit rate; print n/a instead of a vacuous 1.0.
@@ -584,7 +578,7 @@ int ServeFrozen(const Options& opt, OptimizedBank* bank, Alphabet* alphabet,
           "serve\tstats\tthreads=%zu docs=%zu positions=%zu "
           "frozen_states=%zu frozen_hits=%zu frozen_misses=%zu "
           "hit_rate=%s\n",
-          s.threads, s.documents, s.positions, frozen.num_states(),
+          s.threads, s.documents, s.positions, frozen->num_states(),
           s.frozen_hits, s.frozen_misses, rate);
     }
   }

@@ -1,6 +1,7 @@
 #include "serve/sharded.h"
 
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "json/json.h"
@@ -18,17 +19,30 @@ namespace nw {
 ShardedEvaluator::ShardedEvaluator(const SharedBank* frozen,
                                    size_t num_symbols, Symbol other_symbol,
                                    size_t threads, InputFormat format)
+    : ShardedEvaluator(static_cast<const FrozenPartition*>(nullptr),
+                       num_symbols, other_symbol, threads, format) {
+  NW_CHECK_MSG(frozen->num_symbols() == num_symbols,
+               "frozen bank symbol space mismatch");
+  // A non-owning handle: the caller keeps the snapshot alive.
+  frozen_handle_ = FrozenPartition::Whole(
+      std::shared_ptr<const SharedBank>(std::shared_ptr<void>(), frozen));
+  frozen_ = frozen_handle_.get();
+}
+
+ShardedEvaluator::ShardedEvaluator(const FrozenPartition* frozen,
+                                   size_t num_symbols, Symbol other_symbol,
+                                   size_t threads, InputFormat format)
     : frozen_(frozen),
       num_symbols_(num_symbols),
       other_(other_symbol),
       threads_(threads),
       format_(format) {
   NW_CHECK_MSG(threads >= 1, "sharded evaluation needs at least one thread");
-  NW_CHECK_MSG(frozen->num_symbols() == num_symbols,
+  NW_CHECK_MSG(frozen == nullptr || frozen->num_symbols() == num_symbols,
                "frozen bank symbol space mismatch");
 }
 
-void ShardedEvaluator::Rebind(std::shared_ptr<const SharedBank> frozen,
+void ShardedEvaluator::Rebind(std::shared_ptr<const FrozenPartition> frozen,
                               size_t num_symbols) {
   NW_CHECK_MSG(frozen != nullptr, "Rebind() needs a live epoch snapshot");
   NW_CHECK_MSG(frozen->num_symbols() == num_symbols,
@@ -72,14 +86,15 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
   std::atomic<uint64_t>& cursor = progress_.cursor;
   std::atomic<size_t> hits{0}, misses{0}, total_positions{0};
   // Each worker owns every piece of mutable state it touches: the engine
-  // (run state), the overflow bank (snapshot-miss escape hatch), the
+  // (run state), the overflow bank (snapshot-miss escape hatch, only over
+  // a snapshot that can miss), the
   // alphabet copy (streaming interns names first seen in documents — the
   // copies may diverge, but every post-freeze symbol remaps to the
   // catch-all before stepping, so results cannot depend on the ids), and
   // its NWStats shard sink (single-writer by construction: shard indexes
   // are unique, so each sink has exactly one writing thread while the
   // registry's readers merge relaxed-atomic snapshots). Only the
-  // frozen snapshot is shared, and it is const.
+  // frozen partition is shared, and it is const.
   auto worker = [&](size_t shard) {
     StatsSink* sink = sinks_.empty() ? nullptr : sinks_[shard].get();
     Stopwatch wall;
@@ -89,20 +104,25 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
     const size_t hits0 = sink == nullptr ? 0 : sink->frozen_hits.value();
     const size_t miss0 = sink == nullptr ? 0 : sink->frozen_misses.value();
     Alphabet local_alphabet = alphabet;
-    OverflowBank overflow(frozen_);
+    std::optional<OverflowBank> overflow;
     QueryEngine engine(num_symbols_);
     if (other_ != Alphabet::kNoSymbol) engine.set_other_symbol(other_);
     engine.set_track_matches(track_matches);
-    engine.AddFrozen(frozen_, &overflow);
+    if (frozen_->complete()) {
+      engine.AddPartition(frozen_);
+    } else {
+      overflow.emplace(&frozen_->group(0));
+      engine.AddFrozen(&frozen_->group(0), &*overflow);
+    }
     if (sink != nullptr) {
       engine.set_stats(sink);
-      overflow.set_stats(sink);
+      if (overflow) overflow->set_stats(sink);
     }
     if (!attrs_.empty()) {
       // Shard w writes only table w, so each attribution table keeps the
       // sinks' single-writer discipline; renders merge across shards.
       engine.set_attribution(attrs_[shard].get());
-      overflow.set_attribution(attrs_[shard].get());
+      if (overflow) overflow->set_attribution(attrs_[shard].get());
     }
     for (;;) {
       size_t i = cursor.fetch_add(1, std::memory_order_relaxed);

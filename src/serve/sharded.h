@@ -1,8 +1,10 @@
 // Parallel sharded streaming evaluation (ROADMAP: parallel sharded
-// streams). One frozen snapshot, a const SharedBank, backs N worker
-// threads; each worker owns a private QueryEngine (run state is
-// per-stream), a private copy of the alphabet (interning mutates it), and
-// a private mutex-guarded OverflowBank for snapshot misses. Documents are
+// streams). One frozen bank backs N worker threads: a complete
+// FrozenPartition (opt/bank.h), or a snapshot that can miss (a const
+// SharedBank). Each worker owns a private QueryEngine (run state is
+// per-stream), a private copy of the alphabet (interning mutates it),
+// and, over a snapshot that can miss, a private mutex-guarded
+// OverflowBank for its misses. Documents are
 // pulled off a shared atomic cursor, so shards load-balance dynamically,
 // and every result is written to the document's own slot — the merged
 // output is a pure function of the corpus, independent of thread count
@@ -80,8 +82,16 @@ class ShardedEvaluator {
   /// catch-all). `threads` >= 1. `format` selects the tokenizer front
   /// end each worker streams documents through (stream/token_stream.h) —
   /// the ONLY thing that varies by format; sharding, stepping, stats,
-  /// and attribution are format-blind.
+  /// and attribution are format-blind. The snapshot may miss: each
+  /// worker routes its misses to a private overflow bank.
   ShardedEvaluator(const SharedBank* frozen, size_t num_symbols,
+                   Symbol other_symbol, size_t threads,
+                   InputFormat format = InputFormat::kXml);
+
+  /// The same over a partition (opt/bank.h): a complete one is stepped
+  /// group by group with no overflow bank; an incomplete one
+  /// (FrozenPartition::Whole) is served like the snapshot it holds.
+  ShardedEvaluator(const FrozenPartition* frozen, size_t num_symbols,
                    Symbol other_symbol, size_t threads,
                    InputFormat format = InputFormat::kXml);
 
@@ -96,7 +106,7 @@ class ShardedEvaluator {
                                         bool track_matches);
 
   /// Epoch swap API (NWDaemon): re-points the evaluator at a new frozen
-  /// snapshot between EvaluateCorpus calls. The evaluator keeps the
+  /// partition between EvaluateCorpus calls. The evaluator keeps the
   /// handle alive, so the previous epoch's snapshot may be released by
   /// its publisher the moment the swap returns — workers are rebuilt per
   /// EvaluateCorpus call and never hold the old pointer across calls.
@@ -109,7 +119,8 @@ class ShardedEvaluator {
   /// must keep the same query count (tables are sized to K and the
   /// registry holds them by pointer) — attach with `with_attribution =
   /// false` when serving a bank that admits or retires queries online.
-  void Rebind(std::shared_ptr<const SharedBank> frozen, size_t num_symbols);
+  void Rebind(std::shared_ptr<const FrozenPartition> frozen,
+              size_t num_symbols);
 
   /// Selects the tokenizer front end for subsequent EvaluateCorpus calls
   /// (a daemon batch is one format; mixed traffic is dispatched as one
@@ -149,10 +160,13 @@ class ShardedEvaluator {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  const SharedBank* frozen_;
-  /// Keeps a Rebind()-ed epoch's snapshot alive; null when the evaluator
-  /// serves a caller-owned snapshot (the one-shot CLI path).
-  std::shared_ptr<const SharedBank> frozen_handle_;
+  /// What the workers step; a caller-owned snapshot is wrapped as a
+  /// one-group incomplete partition.
+  const FrozenPartition* frozen_;
+  /// Keeps a Rebind()-ed epoch's partition, or the wrapper of a
+  /// caller-owned snapshot, alive; null when the evaluator serves a
+  /// caller-owned partition (the one-shot CLI path).
+  std::shared_ptr<const FrozenPartition> frozen_handle_;
   size_t num_symbols_;
   Symbol other_;
   size_t threads_;

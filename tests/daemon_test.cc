@@ -250,10 +250,6 @@ class DaemonDifferential : public ::testing::TestWithParam<size_t> {};
 TEST_P(DaemonDifferential, MatchesOracleAcrossAdmissionAndRefresh) {
   DaemonOptions options;
   options.threads = GetParam();
-  // A small exploration cap, so refreshes may stop short of the
-  // reachable product: the overflow banks cover whatever the snapshot
-  // lacks, and correctness (the thing under test) is cap-independent.
-  options.refresh_cap = 512;
   DaemonCore core(InitialQueries(), options);
   ASSERT_TRUE(core.ok()) << core.init_error().message();
   core.Start();
@@ -271,11 +267,13 @@ TEST_P(DaemonDifferential, MatchesOracleAcrossAdmissionAndRefresh) {
     }
   };
 
-  // Warm startup epoch.
+  // Warm startup epoch: a complete partition.
   EXPECT_TRUE(core.current_epoch()->refreshed);
+  EXPECT_TRUE(core.current_epoch()->frozen->complete());
   run_corpus();
 
-  // Online admission: served cold immediately, identical results.
+  // Online admission: served cold immediately (one unexplored snapshot
+  // and the overflow banks), identical results.
   uint64_t qid = core.Admit("//a/*/b").Take();
   run_corpus();
 
@@ -283,6 +281,7 @@ TEST_P(DaemonDifferential, MatchesOracleAcrossAdmissionAndRefresh) {
   // the admitted query answers in the refreshed epoch.
   core.AwaitRefresh();
   EXPECT_TRUE(core.current_epoch()->refreshed);
+  EXPECT_TRUE(core.current_epoch()->frozen->complete());
   run_corpus();
 
   // Retirement shrinks the bank online; results stay oracle-identical.
@@ -342,10 +341,6 @@ HitRate FrozenDelta(const StatsSnapshot& a, const StatsSnapshot& b) {
 TEST(DaemonCoreTest, HitRateClimbsAfterRefresh) {
   DaemonOptions options;
   options.threads = 2;
-  // Small cap: the refresh's replay training promotes the reservoir's
-  // tuples first, so resubmitting the same documents hits whether or not
-  // the capped exploration completes.
-  options.refresh_cap = 512;
   DaemonCore core(InitialQueries(), options);
   ASSERT_TRUE(core.ok());
   core.Start();
@@ -392,7 +387,8 @@ TEST(DaemonCoreTest, HitRateClimbsAfterRefresh) {
       << "cold " << cold.hits << "/" << cold.misses << " vs warm "
       << warm.hits << "/" << warm.misses;
   // The cold snapshot holds one unexplored state — essentially every
-  // step misses; the refresh replays recent traffic, so hits dominate.
+  // step misses; the refresh explores a complete partition, so every
+  // step hits (the warm rate is 1.0).
   EXPECT_LT(cold.rate(), 0.5);
   EXPECT_GT(warm.rate(), 0.9);
 
@@ -414,7 +410,6 @@ TEST(DaemonSoak, EpochIdenticalUnderConcurrentAdmission) {
 
   DaemonOptions options;
   options.threads = 4;
-  options.refresh_cap = 512;  // see DaemonDifferential: cap-independent
   DaemonCore core(InitialQueries(), options);
   ASSERT_TRUE(core.ok());
   core.Start();
@@ -635,6 +630,46 @@ TEST(DaemonServerTest, SigtermDrainsWithoutDying) {
   runner.join();  // Run() returns: accept loop saw the wake byte
   core.DrainAndStop();
   EXPECT_GE(core.Metrics().total_documents, 1u);
+}
+
+// Connection threads are joined as their connections close, not only at
+// shutdown: 1,000 connect/disconnect cycles hold a bounded number.
+TEST(DaemonServerTest, FinishedConnectionsAreReaped) {
+  DaemonOptions options;
+  DaemonCore core({"//b"}, options);
+  ASSERT_TRUE(core.ok());
+  core.Start();
+
+  ServerOptions server_options;
+  server_options.socket_path = TempSocketPath("reap");
+  DaemonServer server(&core, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread runner([&]() { server.Run(); });
+
+  constexpr size_t kCycles = 1000;
+  size_t max_held = 0;
+  for (size_t i = 0; i < kCycles; ++i) {
+    int fd = UnixConnect(server_options.socket_path);
+    ASSERT_GE(fd, 0);
+    // One answered request: the server has accepted this connection.
+    ASSERT_NE(RoundTrip(fd, R"({"op":"STATS"})").find("\"ok\":true"),
+              std::string::npos);
+    ::close(fd);
+    max_held = std::max(max_held, server.held_connections());
+  }
+  EXPECT_LE(max_held, 64u);
+  // With every client gone, the accept loop's idle pass joins the rest.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.held_connections() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server.held_connections(), 0u);
+
+  server.Stop();
+  runner.join();
+  core.DrainAndStop();
 }
 
 // A multi-MB single-line SUBMIT arriving in small writes (hundreds of
